@@ -5,7 +5,8 @@
 // fixture: heterogeneous rates/comms, tasks ~N(sizes), population 20):
 //
 //   generations_per_sec  GA generation throughput (paper config: 1
-//                        re-balance pass per individual per generation)
+//                        re-balance pass per individual per generation;
+//                        --passes 0 gives the ZO shape, no re-balance)
 //   evals_per_sec        fitness+objective evaluations per second
 //   evals_per_generation actual evaluations per generation (cached-fitness
 //                        observability: 2·population without caching)
@@ -64,6 +65,7 @@ struct Options {
   std::size_t procs = 50;
   std::size_t population = 20;
   std::size_t generations = 300;
+  std::size_t passes = 1;
   std::string label = "current";
 };
 
@@ -85,12 +87,15 @@ Options parse(int argc, char** argv) {
       num(o.population);
     } else if (std::strcmp(argv[i], "--generations") == 0) {
       num(o.generations);
+    } else if (std::strcmp(argv[i], "--passes") == 0) {
+      num(o.passes);
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
       o.label = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: perf_eval [--tasks N] [--procs M] "
-                   "[--population P] [--generations G] [--label L]\n");
+                   "[--population P] [--generations G] [--passes N] "
+                   "[--label L]\n");
       std::exit(2);
     }
   }
@@ -109,7 +114,7 @@ std::tuple<double, unsigned long long, std::size_t, std::size_t> run_ga(
   ga::GaConfig cfg;
   cfg.population = o.population;
   cfg.max_generations = generations;
-  cfg.improvement_passes = 1;  // the paper's per-individual re-balance
+  cfg.improvement_passes = o.passes;  // paper: 1 re-balance per individual
   const ga::GaEngine engine(cfg, kSelection, kCrossover, kMutation);
   util::Rng init_rng(2);
   auto init =
@@ -157,11 +162,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "{\"label\":\"%s\",\"tasks\":%zu,\"procs\":%zu,\"population\":%zu,"
-      "\"generations\":%zu,\"generations_per_sec\":%.1f,"
+      "\"generations\":%zu,\"passes\":%zu,\"generations_per_sec\":%.1f,"
       "\"evals_per_sec\":%.1f,\"evals_per_generation\":%.2f,"
       "\"allocs_per_generation\":%.2f}\n",
       o.label.c_str(), o.tasks, o.procs, o.population, o.generations,
-      generations_per_sec, evals_per_sec, evals_per_generation,
+      o.passes, generations_per_sec, evals_per_sec, evals_per_generation,
       allocs_per_generation);
   return 0;
 }

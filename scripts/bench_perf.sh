@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Evaluation-core perf trajectory: runs bench/perf_eval on the two
+# Evaluation-core perf trajectory: runs bench/perf_eval on the four
 # standard fixtures and writes a machine-readable JSON report.
 #
 #   usage: scripts/bench_perf.sh [BUILD_DIR] [OUT_JSON] [LABEL]
@@ -21,10 +21,14 @@ if [ ! -x "$PERF" ]; then
   cmake --build "$BUILD_DIR" --target perf_eval -j "$(nproc)" >&2
 fi
 
-# Two fixtures: the paper-scale batch (H=200, M=50) and a 3x batch that
-# stresses decode/evaluate bandwidth.
+# Four fixtures: the paper-scale batch (H=200, M=50), a 3x batch that
+# stresses decode/evaluate bandwidth, and the two shapes the paper's
+# figures run the GA in — PN (H=M=50, one re-balance pass) and ZO
+# (H=200, no re-balance).
 SMALL=$("$PERF" --label "$LABEL" --tasks 200 --generations 300)
 LARGE=$("$PERF" --label "$LABEL" --tasks 600 --generations 150)
+PN=$("$PERF" --label "$LABEL" --tasks 50 --procs 50 --generations 300)
+ZO=$("$PERF" --label "$LABEL" --tasks 200 --passes 0 --generations 300)
 
 cat > "$OUT" <<EOF
 {
@@ -32,7 +36,9 @@ cat > "$OUT" <<EOF
   "label": "$LABEL",
   "measurements": [
     $SMALL,
-    $LARGE
+    $LARGE,
+    $PN,
+    $ZO
   ]
 }
 EOF

@@ -14,15 +14,60 @@ void supply_evaluation(EvalWorkspace& ws, const BatchEvaluation& e) {
   ws.has_improve_evaluation = true;
 }
 
+/// The part of a QueueLoads that a two-queue delta re-price overwrites,
+/// saved so a rejected probe can put it back in O(1).
+class SwapUndo {
+ public:
+  SwapUndo(const QueueLoads& l, std::size_t qa, std::size_t qb)
+      : qa_(qa),
+        qb_(qb),
+        completion_a_(l.completion[qa]),
+        completion_b_(l.completion[qb]),
+        // dev_sq is maintained under kExact only (see QueueLoads).
+        has_dev_(!l.dev_sq.empty()),
+        dev_a_(has_dev_ ? l.dev_sq[qa] : 0.0),
+        dev_b_(has_dev_ ? l.dev_sq[qb] : 0.0),
+        sum_sq_(l.sum_sq),
+        max_completion_(l.max_completion),
+        heaviest_(l.heaviest),
+        eval_(l.eval) {}
+
+  void restore(QueueLoads& l) const {
+    l.completion[qa_] = completion_a_;
+    l.completion[qb_] = completion_b_;
+    if (has_dev_) {
+      l.dev_sq[qa_] = dev_a_;
+      l.dev_sq[qb_] = dev_b_;
+    }
+    l.sum_sq = sum_sq_;
+    l.max_completion = max_completion_;
+    l.heaviest = heaviest_;
+    l.eval = eval_;
+  }
+
+ private:
+  std::size_t qa_, qb_;
+  double completion_a_, completion_b_;
+  bool has_dev_;
+  double dev_a_, dev_b_;
+  double sum_sq_, max_completion_;
+  std::size_t heaviest_;
+  BatchEvaluation eval_;
+};
+
 }  // namespace
 
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws) {
   FlatSchedule& s = ws.schedule;
-  // Fused decode + full pricing: one pass fills both the flat schedule
-  // and the per-queue load cache (heaviest processor, base fitness).
-  const BatchEvaluation base = eval.load_decoded(codec, c, s, ws.loads);
+  // A carried workspace already holds the decode and per-queue loads of
+  // `c` (GaProblem::Workspace::describes_chromosome; every path below
+  // leaves them describing `c` as returned). Otherwise fused decode + full
+  // pricing fills both in one pass (heaviest processor, base fitness).
+  const BatchEvaluation base =
+      ws.describes_chromosome ? ws.loads.eval
+                              : eval.load_decoded(codec, c, s, ws.loads);
   const std::size_t M = s.num_procs();
   if (M < 2) return false;
 
@@ -48,6 +93,7 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
     // Candidate: swap the two tasks between queues, in place, and
     // delta-price only the two changed queues against the cached loads.
     std::swap(other_q[oi], heavy_q[hi]);
+    const SwapUndo undo(ws.loads, other, heavy);
     const BatchEvaluation cand = eval.evaluate_swap(s, ws.loads, other, heavy);
     if (cand.fitness > base.fitness) {
       // Apply the swap directly on the chromosome: exchange the two genes.
@@ -66,8 +112,10 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
       return true;
     }
     // Found a smaller task but the swap was not fitter: the chromosome is
-    // unchanged, so its evaluation is the base pricing. (The workspace
-    // schedule/loads are scratch and re-filled on the next decode.)
+    // unchanged, so its evaluation is the base pricing. Undo the swap and
+    // the two re-priced queues so the workspace describes `c` again.
+    std::swap(other_q[oi], heavy_q[hi]);
+    undo.restore(ws.loads);
     supply_evaluation(ws, base);
     return false;
   }

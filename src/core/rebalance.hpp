@@ -16,7 +16,11 @@ namespace gasched::core {
 /// Applies one re-balancing pass to `c` in place, decoding into the
 /// workspace's flat schedule (allocation-free once warmed up). Returns
 /// true when a fitter schedule was found and kept. `probes` bounds the
-/// random searches for a smaller task (paper: 5).
+/// random searches for a smaller task (paper: 5). When the GA engine has
+/// set `ws.describes_chromosome` (a carried workspace), the cached decode
+/// and loads stand in for decoding `c` again. Either way the pass leaves
+/// `ws.schedule`/`ws.loads` describing `c` as returned: an accepted swap
+/// is applied to both, a rejected one is undone in O(1).
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws);

@@ -1,6 +1,7 @@
 #include "ga/crossover.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +16,12 @@ namespace {
 struct CrossoverScratch {
   PositionIndex pos_a;
   PositionIndex pos_b;
-  std::vector<std::uint8_t> flags;  // CX: position assigned; POS: keep mask
+  std::vector<std::uint8_t> flags;  // POS: keep mask
+  // CX works on the positions where the parents differ only:
+  std::vector<std::size_t> diff;      // differing positions, ascending
+                                      // (the first d of n entries)
+  std::vector<std::uint8_t> walked;   // per differing position
+  std::vector<std::uint32_t> table;   // open-addressed gene -> diff index + 1
 };
 
 CrossoverScratch& cx_scratch() {
@@ -38,6 +44,50 @@ std::pair<std::size_t, std::size_t> random_segment(std::size_t n,
   return {lo, hi};
 }
 
+/// Gene -> index lookup over a's genes at the d differing positions: an
+/// open-addressed table of at least 2·d buckets (a power of two), cleared
+/// per call in O(d) — no index over the whole chromosome, no gene range
+/// scan. Entries hold diff index + 1 (0 = empty).
+class DiffIndex {
+ public:
+  DiffIndex(const Chromosome& a, const std::size_t* diff, std::size_t d,
+            std::vector<std::uint32_t>& table)
+      : a_(a), diff_(diff), table_(table) {
+    unsigned bits = 4;
+    while ((std::size_t{1} << bits) < 2 * d) ++bits;
+    shift_ = 32 - bits;
+    mask_ = (std::size_t{1} << bits) - 1;
+    table_.assign(mask_ + 1, 0);
+    for (std::size_t k = 0; k < d; ++k) {
+      std::size_t h = bucket(a[diff[k]]);
+      while (table_[h] != 0) h = (h + 1) & mask_;
+      table_[h] = static_cast<std::uint32_t>(k + 1);
+    }
+  }
+
+  /// Index into `diff` of the position holding `g` in a, npos if none.
+  std::size_t find(Gene g) const noexcept {
+    for (std::size_t h = bucket(g); table_[h] != 0; h = (h + 1) & mask_) {
+      const std::size_t k = table_[h] - 1;
+      if (a_[diff_[k]] == g) return k;
+    }
+    return PositionIndex::npos;
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of the product spread contiguous and
+  /// strided gene values alike.
+  std::size_t bucket(Gene g) const noexcept {
+    return (static_cast<std::uint32_t>(g) * 0x9E3779B1u) >> shift_;
+  }
+
+  const Chromosome& a_;
+  const std::size_t* diff_;
+  std::vector<std::uint32_t>& table_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
+};
+
 }  // namespace
 
 void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
@@ -45,33 +95,56 @@ void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
                                 util::Rng& rng) const {
   check_parents(a, b);
   const std::size_t n = a.size();
-  auto& sc = cx_scratch();
-  sc.pos_a.build(a);
-  c1.resize(n);
-  c2.resize(n);
-  sc.flags.assign(n, 0);
   // Which parent leads the first cycle is the only random choice; cycles
-  // then alternate ownership (classic CX).
-  bool from_a = rng.bernoulli(0.5);
-  for (std::size_t start = 0; start < n; ++start) {
-    if (sc.flags[start]) continue;
-    std::size_t i = start;
+  // then alternate ownership (classic CX) in order of their first position.
+  const bool first_from_a = rng.bernoulli(0.5);
+  c1.assign(a.begin(), a.end());
+  c2.assign(b.begin(), b.end());
+  // A position where the parents agree is a 1-cycle: whichever parent owns
+  // it, both children keep that gene. So the children start as copies of
+  // the parents and only cycles through differing positions need a walk —
+  // breeding cost scales with how much a converged population still
+  // differs, not with the chromosome length.
+  auto& sc = cx_scratch();
+  // Branch-free compaction: mismatches are rare and scattered, so a
+  // data-dependent branch here would mispredict on most of them.
+  if (sc.diff.size() < n) sc.diff.resize(n);
+  std::size_t* diff = sc.diff.data();
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    diff[d] = i;
+    d += a[i] != b[i] ? 1 : 0;
+  }
+  if (d == 0) return;
+  const DiffIndex index(a, diff, d, sc.table);
+  sc.walked.assign(d, 0);
+  std::size_t cycles = 0;  // non-trivial cycles walked so far
+  for (std::size_t k = 0; k < d; ++k) {
+    if (sc.walked[k]) continue;
+    // Cycles before this one: the start - k agreeing positions ahead of
+    // it plus every non-trivial cycle already walked.
+    const std::size_t before = diff[k] - k + cycles;
+    ++cycles;
+    const bool from_a = first_from_a != ((before & 1u) != 0);
+    // A valid cycle visits each differing position at most once; a longer
+    // walk means b repeats a gene and the walk would never close.
+    std::size_t j = k;
+    std::size_t steps = 0;
     do {
-      sc.flags[i] = 1;
-      if (from_a) {
-        c1[i] = a[i];
-        c2[i] = b[i];
-      } else {
+      if (++steps > d) {
+        throw std::invalid_argument("CycleCrossover: parents differ in genes");
+      }
+      sc.walked[j] = 1;
+      const std::size_t i = diff[j];
+      if (!from_a) {
         c1[i] = b[i];
         c2[i] = a[i];
       }
-      const std::size_t p = sc.pos_a.find(b[i]);
-      if (p == PositionIndex::npos) {
+      j = index.find(b[i]);
+      if (j == PositionIndex::npos) {
         throw std::invalid_argument("CycleCrossover: parents differ in genes");
       }
-      i = p;
-    } while (i != start);
-    from_a = !from_a;
+    } while (j != k);
   }
 }
 

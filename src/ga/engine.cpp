@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/thread_pool.hpp"
 
@@ -21,25 +22,46 @@ GaEngine::GaEngine(GaConfig cfg, const SelectionOp& selection,
 namespace {
 
 /// Double-buffered population storage. Chromosomes, cached evaluations,
-/// and dirty flags live in parallel arrays; generation transitions swap
-/// the buffers so chromosome capacity is reused instead of reallocated.
+/// dirty flags, and per-slot improve workspaces live in parallel arrays;
+/// generation transitions swap the buffers so chromosome capacity is
+/// reused instead of reallocated.
 struct PopulationBuffer {
   std::vector<Chromosome> chrom;
   std::vector<double> fitness;
   std::vector<double> objective;
   std::vector<std::uint8_t> dirty;
+  /// One improve workspace per slot (empty when no improvement passes
+  /// run; entries are null when the problem has no workspace). See
+  /// GaProblem::Workspace::describes_chromosome.
+  std::vector<std::unique_ptr<GaProblem::Workspace>> ws;
 
   explicit PopulationBuffer(std::size_t n)
       : chrom(n), fitness(n, 0.0), objective(n, 0.0), dirty(n, 1) {}
 
-  /// Copies individual `src_i` of `src` into slot `i`, carrying its
-  /// cached evaluation (clean copy; no re-evaluation needed).
-  void copy_from(std::size_t i, const PopulationBuffer& src,
-                 std::size_t src_i) {
-    chrom[i].assign(src.chrom[src_i].begin(), src.chrom[src_i].end());
+  /// Slot `i`, which already holds a copy of individual `src_i` of `src`,
+  /// becomes a clean copy: it takes the cached evaluation and moves the
+  /// improve workspace along. The slot's stale workspace goes back to
+  /// `src` in its place, no longer describing anything there.
+  void adopt(std::size_t i, PopulationBuffer& src, std::size_t src_i) {
     fitness[i] = src.fitness[src_i];
     objective[i] = src.objective[src_i];
     dirty[i] = 0;
+    if (!ws.empty()) {
+      std::swap(ws[i], src.ws[src_i]);
+      src.forget(src_i);
+    }
+  }
+
+  /// Copies individual `src_i` of `src` into slot `i` (clean copy; no
+  /// re-evaluation or re-decode needed).
+  void copy_from(std::size_t i, PopulationBuffer& src, std::size_t src_i) {
+    chrom[i].assign(src.chrom[src_i].begin(), src.chrom[src_i].end());
+    adopt(i, src, src_i);
+  }
+
+  /// Slot `i` holds a chromosome its workspace does not describe.
+  void forget(std::size_t i) {
+    if (!ws.empty() && ws[i] != nullptr) ws[i]->describes_chromosome = false;
   }
 };
 
@@ -83,10 +105,16 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     }
   }
   PopulationBuffer next(P);
+  if (cfg_.improvement_passes > 0) {
+    for (PopulationBuffer* b : {&pop, &next}) {
+      b->ws.resize(P);
+      for (auto& w : b->ws) w = problem.make_workspace();
+    }
+  }
 
   GaResult result;
 
-  // One workspace for all serial evaluation/improvement; extra workspaces
+  // One workspace for all serial evaluation; extra workspaces
   // are created lazily, one per parallel chunk, when the population is
   // large enough for pool evaluation.
   std::unique_ptr<GaProblem::Workspace> serial_ws = problem.make_workspace();
@@ -169,6 +197,43 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
   std::vector<std::size_t> parents;
   parents.reserve(P);
 
+#ifndef NDEBUG
+  // Debug invariant (docs/evaluation.md): breeding only permutes genes.
+  // The sorted copies reuse their buffers, so the check allocates nothing
+  // in steady state and the allocation probes hold in Debug builds too.
+  Chromosome sorted_parent;
+  Chromosome sorted_child;
+  auto check_permutation = [&](const Chromosome& child,
+                               const Chromosome& parent, const char* op) {
+    sorted_parent.assign(parent.begin(), parent.end());
+    sorted_child.assign(child.begin(), child.end());
+    std::sort(sorted_parent.begin(), sorted_parent.end());
+    std::sort(sorted_child.begin(), sorted_child.end());
+    if (sorted_child != sorted_parent) {
+      throw std::logic_error(std::string("GaEngine: ") + op +
+                             " broke the parents' gene set");
+    }
+  };
+#endif
+
+  // A crossover child identical to a parent is a clean copy of it:
+  // evaluation is pure, so the parent's cached evaluation (and decoded
+  // improve state) is bit-identical to recomputing it. In a converged
+  // micro GA most children are such copies.
+  auto settle_child = [&](std::size_t i, std::size_t pa, std::size_t pb) {
+#ifndef NDEBUG
+    check_permutation(next.chrom[i], pop.chrom[pa], "crossover");
+#endif
+    if (next.chrom[i] == pop.chrom[pa]) {
+      next.adopt(i, pop, pa);
+    } else if (next.chrom[i] == pop.chrom[pb]) {
+      next.adopt(i, pop, pb);
+    } else {
+      next.dirty[i] = 1;
+      next.forget(i);
+    }
+  };
+
   std::size_t stall = 0;
   for (std::size_t gen = 0; gen < cfg_.max_generations; ++gen) {
     if (cfg_.target_objective > 0.0 &&
@@ -187,8 +252,8 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
       if (rng.bernoulli(cfg_.crossover_rate)) {
         crossover_.apply_into(pop.chrom[pa], pop.chrom[pb], next.chrom[i],
                               next.chrom[i + 1], rng);
-        next.dirty[i] = 1;
-        next.dirty[i + 1] = 1;
+        settle_child(i, pa, pb);
+        settle_child(i + 1, pa, pb);
       } else {
         // Survivors keep their parents' cached evaluations.
         next.copy_from(i, pop, pa);
@@ -203,7 +268,12 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     for (std::size_t m = 0; m < cfg_.mutants_per_generation; ++m) {
       const std::size_t victim = rng.index(P);
       mutation_.apply(next.chrom[victim], rng);
+#ifndef NDEBUG
+      check_permutation(next.chrom[victim], pop.chrom[parents[victim]],
+                        "mutation");
+#endif
       next.dirty[victim] = 1;
+      next.forget(victim);
     }
 
     // --- local improvement (re-balancing heuristic) ----------------------
@@ -213,9 +283,11 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     // guarantees bit-identity with evaluate()) so improved individuals
     // skip the evaluation sweep entirely. A captured evaluation is
     // discarded if a later pass changes the chromosome without supplying.
+    // Each slot improves through its own carried workspace, which after
+    // every pass describes the chromosome as the pass left it.
     if (cfg_.improvement_passes > 0) {
-      GaProblem::Workspace* iws = serial_ws.get();
       for (std::size_t i = 0; i < P; ++i) {
+        GaProblem::Workspace* iws = next.ws[i].get();
         bool changed_any = false;
         bool have = false;
         GaProblem::Evaluation supplied;
@@ -224,6 +296,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
           const bool changed =
               problem.improve(next.chrom[i], rng, iws);
           changed_any |= changed;
+          if (iws != nullptr) iws->describes_chromosome = true;
           if (iws != nullptr && iws->has_improve_evaluation) {
             have = true;
             supplied = iws->improve_evaluation;
@@ -249,6 +322,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
       next.fitness[0] = result.best_fitness;
       next.objective[0] = result.best_objective;
       next.dirty[0] = 0;
+      next.forget(0);
     }
 
     std::swap(pop, next);

@@ -12,8 +12,8 @@
 //
 // Evaluation core invariants (see docs/evaluation.md):
 //  * fitness/objective are cached per individual with dirty tracking —
-//    elites and survivors untouched by crossover/mutation/improve are
-//    never re-evaluated;
+//    elites, survivors, and crossover children identical to a parent,
+//    untouched by mutation/improve, are never re-evaluated;
 //  * evaluation goes through a problem-owned Workspace so hot paths can
 //    decode/evaluate without allocating;
 //  * optional population-parallel evaluation is bit-identical to serial
@@ -47,7 +47,8 @@ class GaProblem {
   };
 
   /// Reusable, problem-owned evaluation scratch (decode buffers etc.).
-  /// The engine creates one per concurrent evaluation worker via
+  /// The engine creates one per concurrent evaluation worker (and, with
+  /// improvement passes on, one per population slot for improve()) via
   /// make_workspace() and passes it back on every evaluate()/improve()
   /// call; a workspace is never used from two threads at once.
   class Workspace {
@@ -65,6 +66,22 @@ class GaProblem {
     /// chromosome without re-supplying.
     bool has_improve_evaluation = false;
     Evaluation improve_evaluation{};
+
+    /// Carried improve state. When improvement passes are on, the engine
+    /// keeps one workspace per population slot for improve() and moves it
+    /// with every clean copy of an individual (a survivor, or a crossover
+    /// child identical to a parent). The engine — never the problem —
+    /// sets this flag before improve() when the workspace still holds what
+    /// the previous improve() call left for exactly this chromosome, and
+    /// clears it for new chromosomes (crossover children, mutation
+    /// victims, the elite slot). improve() may then reuse that state (e.g.
+    /// the decoded schedule and its per-queue loads) instead of rebuilding
+    /// it. Contract: an improve() that reads the flag must leave the
+    /// workspace describing the chromosome exactly as it returns it —
+    /// after an accepted change and after a rejected probe alike — so that
+    /// reusing the state is bit-identical to rebuilding it. Problems that
+    /// ignore the flag need not maintain anything.
+    bool describes_chromosome = false;
   };
 
   virtual ~GaProblem() = default;

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/fitness.hpp"
 #include "core/init.hpp"
@@ -185,6 +188,139 @@ TEST(ParallelEval, ScheduleProblemParallelMatchesSerial) {
   EXPECT_EQ(serial.best_objective, pool.best_objective);
   EXPECT_EQ(serial.objective_history, pool.objective_history);
   EXPECT_EQ(serial.evaluations, pool.evaluations);
+}
+
+/// Forwarding problem whose make_workspace() returns null (the GaProblem
+/// default): the engine has no workspace to carry between generations,
+/// so every improve() decodes its chromosome from scratch.
+class NoWorkspaceProblem final : public GaProblem {
+ public:
+  explicit NoWorkspaceProblem(const GaProblem& inner) : inner_(inner) {}
+  double fitness(const Chromosome& c) const override {
+    return inner_.fitness(c);
+  }
+  double objective(const Chromosome& c) const override {
+    return inner_.objective(c);
+  }
+  Evaluation evaluate(const Chromosome& c, Workspace* ws) const override {
+    return inner_.evaluate(c, ws);
+  }
+  bool improve(Chromosome& c, util::Rng& rng, Workspace* ws) const override {
+    return inner_.improve(c, rng, ws);
+  }
+
+ private:
+  const GaProblem& inner_;
+};
+
+/// Cycle crossover that counts the children it breeds.
+class CountingCrossover final : public CrossoverOp {
+ public:
+  void apply_into(const Chromosome& a, const Chromosome& b, Chromosome& c1,
+                  Chromosome& c2, util::Rng& rng) const override {
+    children += 2;
+    cx_.apply_into(a, b, c1, c2, rng);
+  }
+  std::string name() const override { return cx_.name(); }
+
+  mutable std::size_t children = 0;
+
+ private:
+  CycleCrossover cx_;
+};
+
+/// A paper-shaped batch: `tasks` uniform sizes on `procs` heterogeneous
+/// processors with pending load.
+struct BatchFixture {
+  BatchFixture(std::size_t tasks, std::size_t procs, bool use_comm,
+               std::uint64_t seed)
+      : codec(tasks, procs), eval(make_eval(tasks, procs, use_comm, seed)) {}
+
+  static core::ScheduleEvaluator make_eval(std::size_t tasks,
+                                           std::size_t procs, bool use_comm,
+                                           std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<double> sizes(tasks);
+    for (auto& v : sizes) v = rng.uniform(10.0, 1000.0);
+    sim::SystemView view;
+    view.procs.resize(procs);
+    for (std::size_t j = 0; j < procs; ++j) {
+      view.procs[j].id = static_cast<sim::ProcId>(j);
+      view.procs[j].rate = rng.uniform(10.0, 100.0);
+      view.procs[j].comm_estimate = rng.uniform(1.0, 50.0);
+      view.procs[j].pending_mflops = rng.uniform(0.0, 500.0);
+    }
+    return core::ScheduleEvaluator(std::move(sizes), view, use_comm);
+  }
+
+  core::ScheduleCodec codec;
+  core::ScheduleEvaluator eval;
+};
+
+struct CarryRun {
+  GaResult result;
+  std::vector<Chromosome> final_population;
+  std::size_t children = 0;
+};
+
+CarryRun run_batch(const BatchFixture& f, const GaProblem& problem,
+                   std::size_t passes) {
+  GaConfig cfg;
+  cfg.population = 20;
+  cfg.max_generations = 200;
+  cfg.improvement_passes = passes;
+  cfg.record_history = true;
+  static const RouletteSelection sel;
+  static const SwapMutation mut;
+  const CountingCrossover cx;
+  const GaEngine engine(cfg, sel, cx, mut);
+  util::Rng init_rng(21);
+  auto init = core::initial_population(f.codec, f.eval, cfg.population, 0.5,
+                                       init_rng);
+  util::Rng ga_rng(22);
+  CarryRun out;
+  out.result = engine.run(problem, std::move(init), ga_rng, {},
+                          &out.final_population);
+  out.children = cx.children;
+  return out;
+}
+
+void expect_same_run(const CarryRun& carry, const CarryRun& plain) {
+  EXPECT_EQ(carry.result.best, plain.result.best);
+  EXPECT_EQ(carry.result.best_objective, plain.result.best_objective);
+  EXPECT_EQ(carry.result.best_fitness, plain.result.best_fitness);
+  EXPECT_EQ(carry.result.objective_history, plain.result.objective_history);
+  EXPECT_EQ(carry.result.generations, plain.result.generations);
+  EXPECT_EQ(carry.final_population, plain.final_population);
+}
+
+TEST(CarriedState, PnShapeMatchesRunWithoutWorkspaces) {
+  // The paper's PN shape: H = M = 50, comm-aware, one re-balance pass.
+  // Carried workspaces let re-balance skip the decode of clean copies;
+  // that must never change a single result.
+  const BatchFixture f(50, 50, true, 31);
+  const core::ScheduleProblem problem(f.codec, f.eval);
+  const NoWorkspaceProblem plain(problem);
+  const CarryRun carry = run_batch(f, problem, 1);
+  const CarryRun reference = run_batch(f, plain, 1);
+  expect_same_run(carry, reference);
+}
+
+TEST(CarriedState, ZoShapeMatchesAndSkipsCopyChildren) {
+  // The ZO shape: H = 200, comm-oblivious, no re-balance. Crossover
+  // children identical to a parent keep its cached evaluation.
+  const BatchFixture f(200, 50, false, 32);
+  const core::ScheduleProblem problem(f.codec, f.eval);
+  const NoWorkspaceProblem plain(problem);
+  const CarryRun carry = run_batch(f, problem, 0);
+  const CarryRun reference = run_batch(f, plain, 0);
+  expect_same_run(carry, reference);
+  // Re-pricing every crossover child costs at least population + children
+  // - generations evaluations (only the elite slot can overwrite a child
+  // clean). Carrying copy children's evaluations must beat that bound.
+  const std::size_t gens = carry.result.generations;
+  ASSERT_GT(gens, 0u);
+  EXPECT_LT(carry.result.evaluations, 20 + carry.children - gens);
 }
 
 TEST(ParallelEval, ThresholdKeepsMicroGaSerial) {

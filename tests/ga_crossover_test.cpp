@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 namespace gasched::ga {
 namespace {
@@ -114,6 +116,108 @@ TEST(CycleCrossover, MismatchedGeneSetsThrow) {
   const Chromosome a{0, 1, 2};
   const Chromosome b{0, 1, 99};
   EXPECT_THROW(cx.apply(a, b, rng), std::invalid_argument);
+}
+
+TEST(CycleCrossover, RepeatedGeneInBThrowsInsteadOfLooping) {
+  // b repeats gene 1 and lacks gene 2: the walk from position 0 lands on
+  // the fixed position 1 and could never return to its start. It must be
+  // bounded and rejected, not spin forever.
+  CycleCrossover cx;
+  util::Rng rng(11);
+  EXPECT_THROW(cx.apply(Chromosome{0, 1, 2}, Chromosome{1, 1, 0}, rng),
+               std::invalid_argument);
+  // Same defect among differing positions only.
+  EXPECT_THROW(cx.apply(Chromosome{0, 1, 2, 3}, Chromosome{1, 0, 0, 2}, rng),
+               std::invalid_argument);
+}
+
+/// Reference cycle crossover: the classic walk over every position with
+/// a full gene -> position index, exactly as CX is usually written. The
+/// library's difference-only walk must match it child for child and draw
+/// for draw.
+void reference_cx(const Chromosome& a, const Chromosome& b, Chromosome& c1,
+                  Chromosome& c2, util::Rng& rng) {
+  const std::size_t n = a.size();
+  PositionIndex pos_a;
+  pos_a.build(a);
+  c1.assign(n, 0);
+  c2.assign(n, 0);
+  std::vector<std::uint8_t> done(n, 0);
+  bool from_a = rng.bernoulli(0.5);
+  for (std::size_t start = 0; start < n; ++start) {
+    if (done[start]) continue;
+    std::size_t i = start;
+    do {
+      done[i] = 1;
+      c1[i] = from_a ? a[i] : b[i];
+      c2[i] = from_a ? b[i] : a[i];
+      i = pos_a.find(b[i]);
+    } while (i != start);
+    from_a = !from_a;
+  }
+}
+
+/// Runs both implementations from the same RNG state and asserts equal
+/// children and equal RNG state afterwards.
+void expect_matches_reference(const Chromosome& a, const Chromosome& b,
+                              std::uint64_t seed) {
+  CycleCrossover cx;
+  util::Rng rng_lib(seed);
+  util::Rng rng_ref(seed);
+  Chromosome c1, c2, r1, r2;
+  cx.apply_into(a, b, c1, c2, rng_lib);
+  reference_cx(a, b, r1, r2, rng_ref);
+  ASSERT_EQ(c1, r1) << "n=" << a.size() << " seed=" << seed;
+  ASSERT_EQ(c2, r2) << "n=" << a.size() << " seed=" << seed;
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_EQ(rng_lib.next_u64(), rng_ref.next_u64()) << "rng state diverged";
+  }
+}
+
+TEST(CycleCrossover, MatchesReferenceOnRandomPermutations) {
+  util::Rng rng(12);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    Chromosome a = iota_chromosome(n);
+    Chromosome b = a;
+    rng.shuffle(a);
+    rng.shuffle(b);
+    expect_matches_reference(a, b, 1000 + n);
+  }
+}
+
+TEST(CycleCrossover, MatchesReferenceOnNearIdenticalParents) {
+  // The converged-population case: parents a few transpositions apart.
+  util::Rng rng(13);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + rng.index(300);
+    Chromosome a = iota_chromosome(n);
+    rng.shuffle(a);
+    Chromosome b = a;
+    const std::size_t swaps = rng.index(9);  // 0..8 transpositions
+    for (std::size_t s = 0; s < swaps; ++s) {
+      std::swap(b[rng.index(n)], b[rng.index(n)]);
+    }
+    expect_matches_reference(a, b, 5000 + static_cast<std::uint64_t>(trial));
+  }
+}
+
+TEST(CycleCrossover, MatchesReferenceOnScheduleChromosomes) {
+  // Task genes plus negative delimiter genes, as the scheduler encodes.
+  util::Rng rng(14);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t tasks = 1 + rng.index(250);
+    const std::size_t delims = rng.index(60);
+    Chromosome a = schedule_like(tasks, delims, rng);
+    Chromosome b = a;
+    if (trial % 2 == 0) {
+      rng.shuffle(b);
+    } else {
+      for (std::size_t s = rng.index(9); s > 0; --s) {
+        std::swap(b[rng.index(b.size())], b[rng.index(b.size())]);
+      }
+    }
+    expect_matches_reference(a, b, 9000 + static_cast<std::uint64_t>(trial));
+  }
 }
 
 TEST(Crossover, UnequalLengthsThrow) {

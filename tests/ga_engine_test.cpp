@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace gasched::ga {
 namespace {
@@ -240,6 +242,51 @@ TEST(GaEngine, ZeroGenerationsReturnsBestOfInitialPopulation) {
   const GaResult r = engine.run(problem, pop, rng);
   EXPECT_DOUBLE_EQ(r.best_objective, best);
   EXPECT_EQ(r.generations, 0u);
+}
+
+/// Crossover that breaks the gene set: c1 repeats a's second gene.
+class DuplicatingCrossover final : public CrossoverOp {
+ public:
+  void apply_into(const Chromosome& a, const Chromosome& b, Chromosome& c1,
+                  Chromosome& c2, util::Rng& /*rng*/) const override {
+    c1 = a;
+    c2 = b;
+    c1[0] = c1[1];
+  }
+  std::string name() const override { return "duplicating"; }
+};
+
+/// Mutation that breaks the gene set: overwrites the first gene.
+class OverwritingMutation final : public MutationOp {
+ public:
+  void apply(Chromosome& c, util::Rng& /*rng*/) const override {
+    c[0] = c[1];
+  }
+  std::string name() const override { return "overwriting"; }
+};
+
+TEST(GaEngine, DebugBuildsRejectBreedingThatBreaksTheGeneSet) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the breeding invariant is compiled out of release builds";
+#else
+  GaConfig cfg;
+  cfg.population = 6;
+  cfg.max_generations = 5;
+  cfg.crossover_rate = 1.0;
+  static const RouletteSelection sel;
+  static const SwapMutation swap;
+  static const CycleCrossover cx;
+  const DuplicatingCrossover bad_cx;
+  const OverwritingMutation bad_mut;
+  SortProblem problem;
+  util::Rng rng(15);
+  const auto pop = random_population(6, 8, rng);
+  EXPECT_THROW(GaEngine(cfg, sel, bad_cx, swap).run(problem, pop, rng),
+               std::logic_error);
+  EXPECT_THROW(GaEngine(cfg, sel, cx, bad_mut).run(problem, pop, rng),
+               std::logic_error);
+  EXPECT_NO_THROW(GaEngine(cfg, sel, cx, swap).run(problem, pop, rng));
+#endif
 }
 
 }  // namespace
