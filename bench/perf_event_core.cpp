@@ -1,7 +1,7 @@
 // Event-core perf probe: the ledger anchor behind the
 // `perf_event_core` section of BENCH_eval.json.
 //
-// Three measurements on the calendar-queue event core:
+// Measurements on the calendar-queue event core:
 //
 //   hold    the classic hold model (Vaucher & Duval): preload N events,
 //           then H× {pop the minimum, push a successor at +Exp(1)} — the
@@ -16,6 +16,12 @@
 //           processors × 1,000,000 tasks under RR) reporting event
 //           throughput and makespan — proof the rebuilt core carries the
 //           federation-scale scenarios the fed/ layer composes.
+//   fed     (with --fed-tasks N, run from the repository root) one
+//           fed::Federation run of configs/federation.ini scaled to N
+//           tasks: three MM clusters, threshold migration over a star.
+//           Reports wall, events/s, migrations and heap allocations per
+//           event of the run loop (the policies' BatchAssignment results
+//           and std::deque chunk turnover).
 //
 // Plain binary (no Google Benchmark): it owns operator new for the
 // allocation counting, and emits one machine-readable JSON line.
@@ -25,13 +31,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <new>
 #include <string>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "fed/federation.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -68,6 +77,7 @@ struct Options {
   std::size_t procs = 1000;        ///< engine run cluster size
   std::string scheduler = "RR";
   std::string label = "current";
+  std::size_t fed_tasks = 0;  ///< federation row workload; 0 skips it
 };
 
 Options parse(int argc, char** argv) {
@@ -88,6 +98,8 @@ Options parse(int argc, char** argv) {
       num(o.tasks);
     } else if (std::strcmp(argv[i], "--procs") == 0) {
       num(o.procs);
+    } else if (std::strcmp(argv[i], "--fed-tasks") == 0) {
+      num(o.fed_tasks);
     } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
       o.scheduler = argv[++i];
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
@@ -95,7 +107,8 @@ Options parse(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: perf_event_core [--events N] [--holds H] "
-                   "[--tasks N] [--procs M] [--scheduler S] [--label L]\n");
+                   "[--tasks N] [--procs M] [--scheduler S] [--label L] "
+                   "[--fed-tasks N]\n");
       std::exit(2);
     }
   }
@@ -151,6 +164,40 @@ std::pair<double, double> run_flood(const Options& o) {
           static_cast<double>(o.events) / pop_wall};
 }
 
+struct FedRow {
+  std::size_t completed = 0;
+  std::size_t migrations = 0;
+  double events = 0.0;
+  double wall = 0.0;
+  double allocs_per_event = 0.0;
+};
+
+/// One federation replication of configs/federation.ini (read relative
+/// to the working directory: run from the repository root) at
+/// `o.fed_tasks` tasks; the timed window, and the allocation count, is
+/// Federation::run().
+FedRow run_fed(const Options& o) {
+  fed::FederationConfig cfg = fed::federation_from_config(
+      util::Config::load("configs/federation.ini"));
+  cfg.workload.count = o.fed_tasks;
+  cfg.replications = 1;
+  fed::Federation federation(cfg, 0);
+  const unsigned long long a0 = g_allocs.load(std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  const fed::FederationResult r = federation.run();
+  FedRow row;
+  row.wall = seconds_since(t0);
+  const unsigned long long a1 = g_allocs.load(std::memory_order_relaxed);
+  for (std::size_t k = 0; k < federation.size(); ++k) {
+    row.events += static_cast<double>(
+        federation.node(k).engine().events_processed());
+  }
+  row.completed = r.tasks_completed;
+  row.migrations = r.migrations;
+  row.allocs_per_event = static_cast<double>(a1 - a0) / row.events;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,6 +234,16 @@ int main(int argc, char** argv) {
   const double engine_wall = seconds_since(t0);
   const double events = static_cast<double>(engine.events_processed());
 
+  FedRow f;
+  if (o.fed_tasks > 0) {
+    try {
+      f = run_fed(o);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "perf_event_core: %s\n", e.what());
+      return 1;
+    }
+  }
+
   std::printf(
       "{\"label\":\"%s\",\"events\":%zu,\"holds\":%zu,"
       "\"hold_ops_per_sec\":%.1f,\"allocs_per_event\":%.2f,"
@@ -194,11 +251,24 @@ int main(int argc, char** argv) {
       "\"engine\":{\"procs\":%zu,\"tasks\":%zu,\"scheduler\":\"%s\","
       "\"events_processed\":%.0f,\"wall_seconds\":%.3f,"
       "\"events_per_sec\":%.1f,\"tasks_per_sec\":%.1f,"
-      "\"tasks_completed\":%zu,\"makespan\":%.3f}}\n",
+      "\"tasks_completed\":%zu,\"makespan\":%.3f}",
       o.label.c_str(), o.events, o.holds, hold_ops_per_sec, allocs_per_event,
       flood_pushes_per_sec, flood_pops_per_sec, o.procs, o.tasks,
       o.scheduler.c_str(), events, engine_wall, events / engine_wall,
       static_cast<double>(r.tasks_completed) / engine_wall,
       r.tasks_completed, r.makespan);
+  if (o.fed_tasks > 0) {
+    // Named heap_allocs_per_event so CI's hold-row gate on
+    // "allocs_per_event":0.00 cannot match this row.
+    std::printf(
+        ",\"fed\":{\"tasks\":%zu,\"events_processed\":%.0f,"
+        "\"wall_seconds\":%.3f,\"events_per_sec\":%.1f,"
+        "\"tasks_per_sec\":%.1f,\"migrations\":%zu,"
+        "\"heap_allocs_per_event\":%.3f,\"fed_tasks_completed\":%zu}",
+        o.fed_tasks, f.events, f.wall, f.events / f.wall,
+        static_cast<double>(f.completed) / f.wall, f.migrations,
+        f.allocs_per_event, f.completed);
+  }
+  std::printf("}\n");
   return 0;
 }

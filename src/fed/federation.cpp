@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "exp/registry.hpp"
 #include "util/thread_pool.hpp"
@@ -36,6 +37,19 @@ std::vector<std::string> split_list(const std::string& text) {
   }
   flush();
   return out;
+}
+
+/// Reads a count-valued key, rejecting values below `min` (a negative
+/// value would otherwise wrap to a huge size_t).
+std::size_t get_count(const util::Config& cfg, const std::string& key,
+                      std::int64_t fallback, std::int64_t min) {
+  const std::int64_t v = cfg.get_int(key, fallback);
+  if (v < min) {
+    throw std::runtime_error("federation config: " + key + " must be >= " +
+                             std::to_string(min) + " (got " +
+                             std::to_string(v) + ")");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
@@ -159,13 +173,14 @@ std::size_t Federation::route(const workload::Task& task) const {
   return 0;
 }
 
-void Federation::send(std::size_t from, std::size_t to, workload::Task task) {
+void Federation::send(std::size_t from, std::size_t to,
+                      const workload::Task& task) {
   const double wire = topology_.transfer_time(from, to, task.size_mflops);
   link_busy_seconds_ += wire;
   migrated_mflops_ += task.size_mflops;
   ++migrations_;
   ++nodes_[from]->migrated_out;
-  transfers_.push(now_ + wire, Transfer{to, std::move(task)});
+  transfers_.push(now_ + wire, Transfer{to, task});
 }
 
 void Federation::maybe_migrate(std::size_t from) {
@@ -188,9 +203,8 @@ void Federation::maybe_migrate(std::size_t from) {
       }
       if (best == kNone) return;
       if (best_backlog + cfg_.migration_chunk >= src.backlog()) return;
-      for (workload::Task& t : src.take_unscheduled(cfg_.migration_chunk)) {
-        send(from, best, std::move(t));
-      }
+      src.take_unscheduled(cfg_.migration_chunk, taken_);
+      for (const workload::Task& t : taken_) send(from, best, t);
       return;
     }
     case MigrationKind::kSteal: {
@@ -200,10 +214,8 @@ void Federation::maybe_migrate(std::size_t from) {
         if (src.unscheduled_count() == 0) return;
         const sim::Engine& thief = nodes_[k]->engine();
         if (thief.backlog() == 0 && thief.finished()) {
-          for (workload::Task& t :
-               src.take_unscheduled(cfg_.migration_chunk)) {
-            send(from, k, std::move(t));
-          }
+          src.take_unscheduled(cfg_.migration_chunk, taken_);
+          for (const workload::Task& t : taken_) send(from, k, t);
         }
       }
       return;
@@ -212,16 +224,18 @@ void Federation::maybe_migrate(std::size_t from) {
       // Offer one task to each strictly less-loaded neighbour in turn
       // until the chunk is spent.
       if (src.unscheduled_count() <= cfg_.migration_threshold) return;
-      std::vector<std::size_t> eligible;
+      eligible_.clear();
       for (const std::size_t k : topology_.neighbors(from)) {
-        if (nodes_[k]->engine().backlog() < src.backlog()) eligible.push_back(k);
+        if (nodes_[k]->engine().backlog() < src.backlog()) {
+          eligible_.push_back(k);
+        }
       }
-      if (eligible.empty()) return;
+      if (eligible_.empty()) return;
       for (std::size_t i = 0;
            i < cfg_.migration_chunk && src.unscheduled_count() > 0; ++i) {
-        auto taken = src.take_unscheduled(1);
-        if (taken.empty()) return;
-        send(from, eligible[i % eligible.size()], std::move(taken.front()));
+        src.take_unscheduled(1, taken_);
+        if (taken_.empty()) return;
+        send(from, eligible_[i % eligible_.size()], taken_.front());
       }
       return;
     }
@@ -229,13 +243,10 @@ void Federation::maybe_migrate(std::size_t from) {
 }
 
 FederationResult Federation::run() {
-  const auto completed_total = [&] {
-    std::size_t c = 0;
-    for (const auto& n : nodes_) c += n->engine().tasks_completed();
-    return c;
-  };
-
-  while (completed_total() < total_tasks_) {
+  // Tasks complete only inside Engine::step(), so the loop keeps a
+  // running total instead of summing every cluster per event.
+  std::size_t completed = 0;
+  while (completed < total_tasks_) {
     // Earliest cluster event (ties: lowest index)...
     std::size_t best = kNone;
     double best_time = std::numeric_limits<double>::infinity();
@@ -260,7 +271,9 @@ FederationResult Federation::run() {
     if (best != kNone) {
       sim::Engine& e = nodes_[best]->engine();
       now_ = e.next_event_time();
+      const std::size_t done_before = e.tasks_completed();
       e.step();
+      completed += e.tasks_completed() - done_before;
       if (cfg_.migration != MigrationKind::kNone) maybe_migrate(best);
       continue;
     }
@@ -330,16 +343,12 @@ FederationConfig federation_from_config(const util::Config& cfg) {
         "federation config: [federation] clusters = a, b, ... is required");
   }
   f.seed = static_cast<std::uint64_t>(cfg.get_int("federation.seed", 42));
-  f.replications =
-      static_cast<std::size_t>(cfg.get_int("federation.replications", 3));
+  f.replications = get_count(cfg, "federation.replications", 3, 1);
   f.comm_nu = cfg.get_double("federation.comm_nu", 0.5);
   f.rate_nu = cfg.get_double("federation.rate_nu", 0.5);
-  f.max_event_factor = static_cast<std::size_t>(
-      cfg.get_int("federation.max_event_factor", 64));
-  f.migration_threshold = static_cast<std::size_t>(
-      cfg.get_int("federation.migration_threshold", 32));
-  f.migration_chunk = static_cast<std::size_t>(
-      cfg.get_int("federation.migration_chunk", 8));
+  f.max_event_factor = get_count(cfg, "federation.max_event_factor", 64, 0);
+  f.migration_threshold =
+      get_count(cfg, "federation.migration_threshold", 32, 0);
 
   const std::string router = cfg.get("federation.router", "round_robin");
   if (router == "round_robin") {
@@ -367,13 +376,15 @@ FederationConfig federation_from_config(const util::Config& cfg) {
                              migration +
                              "' (none, threshold, steal, broadcast)");
   }
+  // A zero chunk would make any migration policy a silent no-op.
+  f.migration_chunk = get_count(cfg, "federation.migration_chunk", 8,
+                                f.migration == MigrationKind::kNone ? 0 : 1);
 
   for (const std::string& name : names) {
     const std::string p = "cluster." + name + ".";
     ClusterSpec spec;
     spec.name = name;
-    spec.cluster.num_processors =
-        static_cast<std::size_t>(cfg.get_int(p + "processors", 50));
+    spec.cluster.num_processors = get_count(cfg, p + "processors", 50, 1);
     spec.cluster.rate_lo = cfg.get_double(p + "rate_lo", 10.0);
     spec.cluster.rate_hi = cfg.get_double(p + "rate_hi", 100.0);
     spec.cluster.comm.mean_cost = cfg.get_double(p + "mean_comm_cost", 20.0);
@@ -439,8 +450,7 @@ FederationConfig federation_from_config(const util::Config& cfg) {
   f.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
   f.workload.param_b = cfg.get_double("workload.param_b", 9e5);
   f.workload.params = exp::Params::from_config(cfg, "workload");
-  f.workload.count =
-      static_cast<std::size_t>(cfg.get_int("workload.count", 1000));
+  f.workload.count = get_count(cfg, "workload.count", 1000, 1);
   f.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
   f.workload.mean_interarrival =
       cfg.get_double("workload.mean_interarrival", 1.0);

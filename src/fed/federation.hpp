@@ -176,7 +176,7 @@ class Federation {
 
   std::size_t route(const workload::Task& task) const;
   void maybe_migrate(std::size_t from);
-  void send(std::size_t from, std::size_t to, workload::Task task);
+  void send(std::size_t from, std::size_t to, const workload::Task& task);
 
   const FederationConfig cfg_;
   Topology topology_;
@@ -188,6 +188,10 @@ class Federation {
   double link_busy_seconds_ = 0.0;
   double now_ = 0.0;
   std::vector<double> weight_cdf_;  // for RouterKind::kWeighted
+  // Reused migration buffers: tasks taken from a cluster, and the
+  // broadcast policy's eligible neighbours.
+  std::vector<workload::Task> taken_;
+  std::vector<std::size_t> eligible_;
 };
 
 /// Runs one replication (convenience wrapper).
@@ -201,7 +205,10 @@ std::vector<FederationResult> run_federation_replications(
 /// Parses the [federation]/[cluster.<name>]/[link.<a>.<b>] sections of an
 /// INI config (key reference in docs/federation.md). Throws
 /// std::runtime_error on unknown topology/router/migration names, unknown
-/// cluster references, or a missing cluster list.
+/// cluster references, a missing cluster list, or a count key below its
+/// minimum (negative, or zero where zero means nothing: workload count,
+/// replications, processors, and migration_chunk under a migration
+/// policy).
 FederationConfig federation_from_config(const util::Config& cfg);
 
 }  // namespace gasched::fed

@@ -1,11 +1,12 @@
 #include "fed/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 namespace gasched::fed {
 
-Topology::Topology(std::size_t n) : n_(n), links_(n * n) {
+Topology::Topology(std::size_t n) : n_(n), links_(n * n), out_(n) {
   if (n == 0) {
     throw std::invalid_argument("Topology: need at least one cluster");
   }
@@ -54,6 +55,10 @@ void Topology::add_link(std::size_t from, std::size_t to, LinkParams link) {
     throw std::invalid_argument(
         "Topology::add_link: latency and bandwidth must be positive");
   }
+  if (!links_[at(from, to)].has_value()) {
+    auto& out = out_[from];
+    out.insert(std::lower_bound(out.begin(), out.end(), to), to);
+  }
   links_[at(from, to)] = link;
 }
 
@@ -77,13 +82,9 @@ sim::SimTime Topology::transfer_time(std::size_t from, std::size_t to,
   return l->latency + mflops / l->bandwidth;
 }
 
-std::vector<std::size_t> Topology::neighbors(std::size_t from) const {
-  std::vector<std::size_t> out;
-  if (from >= n_) return out;
-  for (std::size_t to = 0; to < n_; ++to) {
-    if (to != from && links_[at(from, to)].has_value()) out.push_back(to);
-  }
-  return out;
+const std::vector<std::size_t>& Topology::neighbors(std::size_t from) const {
+  static const std::vector<std::size_t> kNone;
+  return from < n_ ? out_[from] : kNone;
 }
 
 std::size_t Topology::link_count() const {

@@ -62,7 +62,9 @@ class Topology {
 
   /// Out-neighbours of `from` in ascending index order (the tie-break
   /// order every migration policy uses, keeping runs deterministic).
-  std::vector<std::size_t> neighbors(std::size_t from) const;
+  /// Empty for an out-of-range index. The reference stays valid until
+  /// the next add_link().
+  const std::vector<std::size_t>& neighbors(std::size_t from) const;
 
   /// Total number of directed links.
   std::size_t link_count() const;
@@ -73,6 +75,7 @@ class Topology {
   }
   std::size_t n_ = 0;
   std::vector<std::optional<LinkParams>> links_;  // dense n×n, row-major
+  std::vector<std::vector<std::size_t>> out_;     // sorted out-neighbours
 };
 
 }  // namespace gasched::fed

@@ -104,16 +104,22 @@ sim::BatchAssignment SortedBatchPolicy::invoke(
     batch_.push_back(queue.front());
     queue.pop_front();
   }
-  std::stable_sort(batch_.begin(), batch_.end(),
-                   [&](const workload::Task& a, const workload::Task& b) {
-                     return descending_ ? a.size_mflops > b.size_mflops
-                                        : a.size_mflops < b.size_mflops;
-                   });
+  // Size order with ties kept in batch order — the order stable_sort
+  // gives, without its per-call temporary buffer.
+  order_.resize(batch_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    const double sa = batch_[a].size_mflops;
+    const double sb = batch_[b].size_mflops;
+    if (sa != sb) return descending_ ? sa > sb : sa < sb;
+    return a < b;
+  });
   pending_.resize(view.size());
   for (std::size_t j = 0; j < view.size(); ++j) {
     pending_[j] = view.procs[j].pending_mflops;
   }
-  for (const auto& task : batch_) {
+  for (const std::size_t i : order_) {
+    const workload::Task& task = batch_[i];
     const sim::ProcId j = earliest_finish(task, view, pending_);
     assignment.per_proc[static_cast<std::size_t>(j)].push_back(task.id);
     pending_[static_cast<std::size_t>(j)] += task.size_mflops;

@@ -101,6 +101,7 @@ class SortedBatchPolicy final : public sim::SchedulingPolicy {
   bool descending_;
   std::size_t batch_size_;
   std::vector<workload::Task> batch_;  // reused batch buffer
+  std::vector<std::size_t> order_;     // batch positions, sorted by size
   std::vector<double> pending_;        // reused local load copy
 };
 

@@ -18,7 +18,7 @@ Engine::Engine(const Cluster& cluster, const workload::Workload& workload,
 
   id_to_index_.reserve(tasks_.size());
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (!id_to_index_.emplace(tasks_[i].id, i).second) {
+    if (!id_to_index_.insert(tasks_[i].id, i)) {
       throw std::invalid_argument("simulate: duplicate task id");
     }
   }
@@ -40,9 +40,8 @@ Engine::Engine(const Cluster& cluster, const workload::Workload& workload,
 
   // Every arrival is pre-seeded, so the peak pending-event count is known
   // up front; pre-sizing the arena keeps steady state allocation-free.
-  const std::size_t outages =
-      cfg_.failures ? cfg_.failures->total_outages() : 0;
-  events_.reserve(tasks_.size() + M + 2 * outages);
+  outages_ = cfg_.failures ? cfg_.failures->total_outages() : 0;
+  events_.reserve(tasks_.size() + M + 2 * outages_);
 
   // Seed the timeline: task arrivals, then one initial request per
   // processor (sequenced after simultaneous arrivals so the first
@@ -71,14 +70,13 @@ double Engine::remaining_exec_mflops(const ProcRuntime& pr) const {
   return pr.exec_mflops * std::max(0.0, std::min(1.0, frac));
 }
 
-SystemView Engine::build_view() const {
+const SystemView& Engine::build_view() {
   const std::size_t M = procs_.size();
-  SystemView view;
-  view.now = now_;
-  view.procs.resize(M);
+  view_.now = now_;
+  view_.procs.resize(M);
   for (std::size_t j = 0; j < M; ++j) {
     const auto& pr = procs_[j];
-    auto& pv = view.procs[j];
+    auto& pv = view_.procs[j];
     pv.id = static_cast<ProcId>(j);
     pv.rate = pr.rate_est.value_or(cluster_.processors[j].base_rate);
     pv.pending_mflops =
@@ -86,7 +84,7 @@ SystemView Engine::build_view() const {
     pv.comm_estimate = pr.comm_est.value_or(0.0);
     pv.comm_observations = pr.comm_est.count();
   }
-  return view;
+  return view_;
 }
 
 void Engine::apply_assignment(const BatchAssignment& assignment) {
@@ -97,12 +95,12 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
     auto& pr = procs_[j];
     bool added = false;
     for (const workload::TaskId id : assignment.per_proc[j]) {
-      const auto it = id_to_index_.find(id);
-      if (it == id_to_index_.end()) {
+      const std::size_t ti = id_to_index_.find(id);
+      if (ti == TaskIndex::npos) {
         throw std::runtime_error("simulate: assignment names unknown task");
       }
-      pr.future.push_back(it->second);
-      pr.future_mflops += tasks_[it->second].size_mflops;
+      pr.future.push_back(ti);
+      pr.future_mflops += tasks_[ti].size_mflops;
       ++future_count_;
       added = true;
     }
@@ -115,7 +113,7 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
 
 void Engine::try_schedule() {
   if (unscheduled_.empty()) return;
-  const SystemView view = build_view();
+  const SystemView& view = build_view();
   const auto t0 = std::chrono::steady_clock::now();
   BatchAssignment assignment = policy_.invoke(view, unscheduled_, rng_);
   const auto t1 = std::chrono::steady_clock::now();
@@ -188,8 +186,7 @@ void Engine::start_dispatch(ProcId proc) {
 std::size_t Engine::event_budget() const {
   if (cfg_.max_event_factor == 0) return 0;
   return cfg_.max_event_factor *
-         (tasks_.size() + procs_.size() +
-          (cfg_.failures ? cfg_.failures->total_outages() : 0) + 1);
+         (tasks_.size() + procs_.size() + outages_ + 1);
 }
 
 void Engine::step() {
@@ -326,13 +323,11 @@ bool Engine::kick() {
 
 void Engine::inject_task(const workload::Task& task, SimTime at) {
   const std::size_t i = tasks_.size();
+  // A previously-exported task may legitimately migrate back; its old
+  // index is dead (the arrival already fired and it left unscheduled_),
+  // so the id can simply point at the fresh entry.
+  id_to_index_.insert_or_assign(task.id, i);
   tasks_.push_back(task);
-  if (!id_to_index_.emplace(task.id, i).second) {
-    // A previously-exported task may legitimately migrate back; its old
-    // index is dead (the arrival already fired and it left unscheduled_),
-    // so the id can simply point at the fresh entry.
-    id_to_index_[task.id] = i;
-  }
   if (cfg_.record_task_trace) {
     TaskRecord rec;
     rec.id = task.id;
@@ -343,17 +338,16 @@ void Engine::inject_task(const workload::Task& task, SimTime at) {
   post(std::max(at, now_), EventKind::kArrival, kInvalidProc, i);
 }
 
-std::vector<workload::Task> Engine::take_unscheduled(std::size_t max_tasks) {
-  std::vector<workload::Task> taken;
+void Engine::take_unscheduled(std::size_t max_tasks,
+                              std::vector<workload::Task>& out) {
+  out.clear();
   const std::size_t n = std::min(max_tasks, unscheduled_.size());
-  taken.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    taken.push_back(std::move(unscheduled_.back()));
+    out.push_back(unscheduled_.back());
     unscheduled_.pop_back();
-    id_to_index_.erase(taken.back().id);
+    id_to_index_.erase(out.back().id);
     ++exported_;
   }
-  return taken;
 }
 
 SimulationResult Engine::result() const {

@@ -45,13 +45,13 @@
 // the same (time, FIFO-seq) order the old binary heap produced).
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/failure.hpp"
 #include "sim/policy.hpp"
+#include "sim/task_index.hpp"
 #include "sim/types.hpp"
 #include "util/smoothing.hpp"
 #include "workload/task.hpp"
@@ -197,9 +197,11 @@ class Engine {
 
   /// Removes up to `max_tasks` tasks from the *back* of the unscheduled
   /// queue (newest first, so the local scheduler keeps its FIFO head)
-  /// and transfers ownership to the caller. The engine no longer counts
-  /// them toward finished().
-  std::vector<workload::Task> take_unscheduled(std::size_t max_tasks);
+  /// and transfers ownership to the caller: `out` is cleared and refilled
+  /// (a reused buffer keeps migration allocation-free). The engine no
+  /// longer counts them toward finished().
+  void take_unscheduled(std::size_t max_tasks,
+                        std::vector<workload::Task>& out);
 
   /// Tasks waiting at the scheduler (not yet assigned to any processor).
   std::size_t unscheduled_count() const noexcept {
@@ -264,7 +266,7 @@ class Engine {
     events_.push(t, Ev{k, p, payload, epoch});
   }
   double remaining_exec_mflops(const ProcRuntime& pr) const;
-  SystemView build_view() const;
+  const SystemView& build_view();
   void apply_assignment(const BatchAssignment& assignment);
   void try_schedule();
   std::size_t requeue_holdings(std::size_t j);
@@ -278,11 +280,12 @@ class Engine {
   util::Rng rng_;
 
   std::vector<workload::Task> tasks_;  // grows via inject_task
-  std::unordered_map<workload::TaskId, std::size_t> id_to_index_;
+  TaskIndex id_to_index_;
   CalendarQueue<Ev> events_;
   std::vector<ProcRuntime> procs_;
   std::deque<workload::Task> unscheduled_;
   std::vector<BatchAssignment> pending_assignments_;
+  SystemView view_;  // refreshed in place for every policy invocation
   std::vector<TaskRecord> records_;
 
   SimTime now_ = 0.0;
@@ -295,6 +298,7 @@ class Engine {
   std::size_t invocations_ = 0;
   std::size_t requeued_ = 0;
   std::size_t processed_ = 0;
+  std::size_t outages_ = 0;            // Σ failure-trace outages (budget)
   bool link_busy_ = false;             // serial_dispatch uplink state
   std::deque<ProcId> link_waiting_;
 };

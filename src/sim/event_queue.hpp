@@ -18,7 +18,9 @@
 //  * **Arena-allocated events.** Nodes live in one contiguous slab with
 //    an intrusive free list: zero per-event heap allocation in steady
 //    state (slots are recycled), and reserve() pre-sizes the slab so even
-//    the warm-up allocates O(log n) times.
+//    the warm-up allocates O(log n) times. A rebuild allocates one
+//    transient buffer (its quartile workspace), so allocations scale
+//    with rebuilds, not with events.
 //  * **Generation-stamped O(1) cancellation.** push() returns a Handle
 //    {slot, generation}; cancel() unlinks the node directly — no
 //    tombstones, no scans, and a stale handle (slot already recycled)
@@ -35,6 +37,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -192,20 +195,32 @@ class CalendarQueue {
       tail_[b] = slot;
       return;
     }
-    // Walk from the head for the first node ordered after the new one.
-    std::uint32_t cur = head_[b];
+    insert_after(kNull, slot);  // the tail is ordered after `slot`
+  }
+
+  /// Sorted insert into `slot`'s bucket (n.bucket already set), walking
+  /// forward from `prev`, or from the head when `prev` is kNull. Requires
+  /// `prev` to be ordered before `slot`.
+  void insert_after(std::uint32_t prev, std::uint32_t slot) {
+    Node& n = arena_[slot];
+    const std::uint32_t b = n.bucket;
+    std::uint32_t cur = prev == kNull ? head_[b] : arena_[prev].next;
     while (cur != kNull && before(cur, slot)) {
+      prev = cur;
       cur = arena_[cur].next;
       ++stress_;
     }
-    // cur != kNull here: the tail is ordered after `slot`.
+    n.prev = prev;
     n.next = cur;
-    n.prev = arena_[cur].prev;
-    arena_[cur].prev = slot;
-    if (n.prev != kNull) {
-      arena_[n.prev].next = slot;
+    if (prev != kNull) {
+      arena_[prev].next = slot;
     } else {
       head_[b] = slot;
+    }
+    if (cur != kNull) {
+      arena_[cur].prev = slot;
+    } else {
+      tail_[b] = slot;
     }
   }
 
@@ -282,45 +297,83 @@ class CalendarQueue {
   }
 
   /// Re-buckets every live event into `buckets` buckets with a width
-  /// matched to the current event-time spread. O(n log n) per call,
-  /// amortised O(log n) per operation by the doubling schedule.
+  /// matched to the current event-time spread. O(n) per call, with no
+  /// comparison sort: the live events are relinked in bucket-walk order,
+  /// so each old bucket's (time, seq) order carries over and an
+  /// equal-time flood (which always shares one bucket) stays a run of
+  /// tail appends. Amortised O(1) per operation by the doubling schedule.
   void rebuild(std::size_t buckets) {
-    scratch_.clear();
-    for (std::size_t b = 0; b <= mask_ && scratch_.size() < size_; ++b) {
+    // Chain the old bucket lists into one list in walk order, noting the
+    // (time, seq) minimum, the latest time, and every time for the
+    // quartiles. The time buffer lives only for this call.
+    std::vector<double> times;
+    times.reserve(size_);
+    std::uint32_t chain = kNull;
+    std::uint32_t chain_tail = kNull;
+    std::uint32_t first = kNull;
+    double hi = 0.0;
+    for (std::size_t b = 0; b <= mask_ && times.size() < size_; ++b) {
+      if (head_[b] == kNull) continue;
+      if (chain_tail == kNull) {
+        chain = head_[b];
+      } else {
+        arena_[chain_tail].next = head_[b];
+      }
+      chain_tail = tail_[b];
       for (std::uint32_t cur = head_[b]; cur != kNull;
            cur = arena_[cur].next) {
-        scratch_.push_back(cur);
+        if (first == kNull || before(cur, first)) first = cur;
+        hi = std::max(hi, arena_[cur].time);
+        times.push_back(arena_[cur].time);
       }
     }
-    std::sort(scratch_.begin(), scratch_.end(),
-              [this](std::uint32_t a, std::uint32_t b) { return before(a, b); });
     // Width ≈ 2× the mean inter-event gap of the interquartile bulk
     // (robust against a skewed spread: a dense moving front plus a long
     // sparse tail must size buckets for the bulk, not the range),
     // clamped so (a) a degenerate spread still yields a usable width and
     // (b) time / width_ cannot overflow the bucket index computation.
-    const std::size_t n = scratch_.size();
-    const double hi = n == 0 ? 0.0 : arena_[scratch_.back()].time;
+    // The quartiles are exact order statistics (selection, not a sort),
+    // so the geometry depends only on the set of pending times.
+    const std::size_t n = times.size();
     double width = 1.0;
     if (n >= 2) {
-      const double lo = arena_[scratch_.front()].time;
-      width = 2.0 * (hi - lo) / static_cast<double>(n);
+      width = 2.0 * (hi - arena_[first].time) / static_cast<double>(n);
       if (n >= 4) {
-        const double q1 = arena_[scratch_[n / 4]].time;
-        const double q3 = arena_[scratch_[(3 * n) / 4]].time;
-        if (q3 > q1) width = 4.0 * (q3 - q1) / static_cast<double>(n);
+        const auto q1 = times.begin() + static_cast<std::ptrdiff_t>(n / 4);
+        const auto q3 =
+            times.begin() + static_cast<std::ptrdiff_t>((3 * n) / 4);
+        std::nth_element(times.begin(), q1, times.end());
+        const double t1 = *q1;  // read before the next selection moves it
+        std::nth_element(q1 + 1, q3, times.end());
+        if (*q3 > t1) width = 4.0 * (*q3 - t1) / static_cast<double>(n);
       }
     }
     width = std::max({width, hi / 1e15, 1e-9});
     width_ = width;
     mask_ = buckets - 1;
-    stress_ = 0;
-    ops_ = 0;
     head_.assign(buckets, kNull);
     tail_.assign(buckets, kNull);
-    for (const std::uint32_t s : scratch_) link(s);  // in-order: all appends
-    if (!scratch_.empty()) {
-      set_cursor(scratch_.front());
+    // Consecutive chain entries in (time, seq) order that land in the
+    // same new bucket are linked straight after each other, so merging
+    // one old bucket's run into a new bucket never rescans the list
+    // from its head.
+    std::uint32_t last = kNull;
+    for (std::uint32_t s = chain; s != kNull;) {
+      const std::uint32_t next = arena_[s].next;  // relinking overwrites it
+      if (last != kNull && arena_[last].bucket == bucket_of(arena_[s].time) &&
+          before(last, s)) {
+        arena_[s].bucket = arena_[last].bucket;
+        insert_after(last, s);
+      } else {
+        link(s);
+      }
+      last = s;
+      s = next;
+    }
+    stress_ = 0;
+    ops_ = 0;
+    if (first != kNull) {
+      set_cursor(first);
     } else {
       min_ = kNull;
       cursor_ = 0;
@@ -331,7 +384,6 @@ class CalendarQueue {
   std::vector<Node> arena_;
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> tail_;
-  std::vector<std::uint32_t> scratch_;  // rebuild workspace (reused)
   std::uint32_t free_ = kNull;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;

@@ -85,6 +85,8 @@ class SchedulingPolicy {
 
   /// Consumes zero or more tasks from the front of `queue` and returns
   /// their assignment. Must not assign a task it did not consume.
+  /// `view` is valid only for the duration of the call: the engine
+  /// refreshes one snapshot in place for every invocation.
   virtual BatchAssignment invoke(const SystemView& view,
                                  std::deque<workload::Task>& queue,
                                  util::Rng& rng) = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <string>
 
 #include "fed/federation.hpp"
@@ -182,6 +183,63 @@ TEST(FederationConfigTest, RejectsUnknownNames) {
                std::runtime_error);
 }
 
+TEST(FederationConfigTest, RejectsNegativeAndMeaninglessCounts) {
+  auto expect_rejected = [](const std::string& find,
+                            const std::string& replace,
+                            const std::string& key) {
+    std::string ini(kBaseIni);
+    ini.replace(ini.find(find), find.size(), replace);
+    try {
+      federation_from_config(util::Config::parse(ini));
+      ADD_FAILURE() << replace << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << "error does not name " << key << ": " << e.what();
+    }
+  };
+  expect_rejected("count = 240", "count = -1", "workload.count");
+  expect_rejected("count = 240", "count = 0", "workload.count");
+  expect_rejected("replications = 2", "replications = -3",
+                  "federation.replications");
+  expect_rejected("replications = 2", "replications = 0",
+                  "federation.replications");
+  expect_rejected("migration_threshold = 8", "migration_threshold = -1",
+                  "federation.migration_threshold");
+  expect_rejected("migration_chunk = 8", "migration_chunk = -8",
+                  "federation.migration_chunk");
+  expect_rejected("migration_chunk = 8", "migration_chunk = 0",
+                  "federation.migration_chunk");
+  expect_rejected("[federation]", "[federation]\nmax_event_factor = -1",
+                  "federation.max_event_factor");
+  expect_rejected("processors = 6", "processors = -6",
+                  "cluster.core.processors");
+  expect_rejected("processors = 6", "processors = 0",
+                  "cluster.core.processors");
+}
+
+TEST(FederationConfigTest, AcceptsZeroWhereItHasAMeaning) {
+  // Threshold 0 migrates any backlog; max_event_factor 0 disables the
+  // event budget; a zero chunk is fine when nothing migrates.
+  std::string ini(kBaseIni);
+  ini.replace(ini.find("migration_threshold = 8"),
+              std::string("migration_threshold = 8").size(),
+              "migration_threshold = 0\nmax_event_factor = 0");
+  const auto cfg = federation_from_config(util::Config::parse(ini));
+  EXPECT_EQ(cfg.migration_threshold, 0u);
+  EXPECT_EQ(cfg.max_event_factor, 0u);
+
+  std::string isolated(kBaseIni);
+  isolated.replace(isolated.find("migration = threshold"),
+                   std::string("migration = threshold").size(),
+                   "migration = none");
+  isolated.replace(isolated.find("migration_chunk = 8"),
+                   std::string("migration_chunk = 8").size(),
+                   "migration_chunk = 0");
+  EXPECT_EQ(
+      federation_from_config(util::Config::parse(isolated)).migration_chunk,
+      0u);
+}
+
 // --- runs: conservation, migration policies, determinism ---------------
 
 FederationConfig base_config() {
@@ -308,6 +366,62 @@ TEST(FederationRunTest, MismatchedTopologySizeThrows) {
   auto cfg = base_config();
   cfg.topology = Topology::full_mesh(2);
   EXPECT_THROW(Federation(cfg, 0), std::invalid_argument);
+}
+
+// --- golden values -----------------------------------------------------
+
+// configs/federation.ini at 600 tasks, replication 0, with the burst
+// cluster's outages made frequent enough to requeue work. The doubles
+// are hexfloats and compared bit-exactly: any change to the event
+// order, the RNG streams, routing or migration shows up here.
+struct FederationGolden {
+  MigrationKind migration;
+  double makespan;
+  double mean_response;
+  std::size_t migrations;
+  double link_busy;
+  struct {
+    std::size_t invocations, completed, requeued;
+  } clusters[3];
+};
+
+const FederationGolden kFederationGolden[] = {
+    {MigrationKind::kThreshold, 0x1.517db47d4907dp+7, 0x1.aa07e9fdba414p+5,
+     560, 0x1.ba70d8d33f01ep+7, {{1, 14, 0}, {481, 490, 0}, {103, 96, 69}}},
+    {MigrationKind::kSteal, 0x1.4c5d3cb4f947dp+8, 0x1.8e26fc59e7d2p+6, 176,
+     0x1.832a3c2def411p+5, {{4, 238, 0}, {178, 266, 0}, {27, 96, 72}}},
+    {MigrationKind::kBroadcast, 0x1.517db47d4907dp+7, 0x1.95ce0a14ce404p+5,
+     560, 0x1.ba70d8d33f01ep+7, {{41, 54, 0}, {481, 490, 0}, {55, 56, 27}}},
+};
+
+TEST(FederationGoldenTest, ShippedConfigResultsAreBitExact) {
+  const auto path =
+      std::filesystem::path(GASCHED_SOURCE_DIR) / "configs" / "federation.ini";
+  FederationConfig cfg = federation_from_config(util::Config::load(path));
+  cfg.workload.count = 600;
+  ASSERT_EQ(cfg.clusters.size(), 3u);
+  ASSERT_TRUE(cfg.clusters[2].failures.has_value());
+  cfg.clusters[2].failures->mean_uptime = 60.0;
+  cfg.clusters[2].failures->mean_downtime = 15.0;
+  for (const FederationGolden& g : kFederationGolden) {
+    SCOPED_TRACE(static_cast<int>(g.migration));
+    cfg.migration = g.migration;
+    const FederationResult r = run_federation(cfg, 0);
+    EXPECT_EQ(r.makespan, g.makespan);
+    EXPECT_EQ(r.mean_response_time, g.mean_response);
+    EXPECT_EQ(r.migrations, g.migrations);
+    EXPECT_EQ(r.link_busy_seconds, g.link_busy);
+    ASSERT_EQ(r.clusters.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(r.clusters[k].sim.scheduler_invocations,
+                g.clusters[k].invocations)
+          << r.clusters[k].name;
+      EXPECT_EQ(r.clusters[k].sim.tasks_completed, g.clusters[k].completed)
+          << r.clusters[k].name;
+      EXPECT_EQ(r.clusters[k].sim.tasks_requeued, g.clusters[k].requeued)
+          << r.clusters[k].name;
+    }
+  }
 }
 
 }  // namespace

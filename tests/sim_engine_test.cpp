@@ -195,6 +195,107 @@ TEST(Engine, DuplicateTaskIdsRejected) {
   EXPECT_THROW(simulate(c, w, policy, util::Rng(1)), std::invalid_argument);
 }
 
+TEST(Engine, DuplicateTaskIdAmongManyRejected) {
+  // The clash sits far from the first occurrence, past several table
+  // growths of the id index.
+  const Cluster c = homogeneous_cluster(1, 10.0, true);
+  Workload w = constant_workload(5000, 10.0);
+  w.tasks.push_back({w.tasks[1234].id, 5.0, 0.0});
+  TestRoundRobin policy;
+  EXPECT_THROW(Engine(c, w, policy, util::Rng(1)), std::invalid_argument);
+}
+
+/// Remembers the ids of the first batch it sees without consuming them,
+/// then, once asked to, assigns those remembered ids and consumes the
+/// queue — a policy that acts on a stale view of the backlog.
+class StaleIds final : public SchedulingPolicy {
+ public:
+  BatchAssignment invoke(const SystemView& view, std::deque<Task>& queue,
+                         util::Rng&) override {
+    auto a = BatchAssignment::empty(view.size());
+    if (!replay) {
+      if (remembered.empty()) {
+        for (const Task& t : queue) remembered.push_back(t.id);
+      }
+      return a;
+    }
+    queue.clear();
+    for (const workload::TaskId id : remembered) a.per_proc[0].push_back(id);
+    return a;
+  }
+  std::string name() const override { return "stale"; }
+  std::vector<workload::TaskId> remembered;
+  bool replay = false;
+};
+
+TEST(Engine, AssigningATaskTakenByMigrationThrowsUnknownTask) {
+  const Cluster c = homogeneous_cluster(1, 10.0, true);
+  const Workload w = constant_workload(2, 10.0);
+  StaleIds policy;
+  Engine engine(c, w, policy, util::Rng(1));
+  // Two t=0 arrivals coalesce into one invocation, which remembers both.
+  engine.step();
+  engine.step();
+  ASSERT_EQ(policy.remembered.size(), 2u);
+  std::vector<Task> taken;
+  engine.take_unscheduled(2, taken);
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(engine.unscheduled_count(), 0u);
+
+  policy.replay = true;
+  engine.inject_task({99, 10.0, 0.0}, engine.now());
+  try {
+    while (engine.has_events()) engine.step();
+    FAIL() << "assignment of an exported task was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown task"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Engine, TaskThatMigratesBackIsAssignedAgain) {
+  const Cluster c = homogeneous_cluster(2, 10.0, true);
+  const Workload w = constant_workload(6, 10.0);
+  StaleIds holder;  // never replays: holds the backlog for the test
+  TestRoundRobin rr;
+  struct Switch final : SchedulingPolicy {
+    SchedulingPolicy* active = nullptr;
+    BatchAssignment invoke(const SystemView& view, std::deque<Task>& queue,
+                           util::Rng& rng) override {
+      return active->invoke(view, queue, rng);
+    }
+    std::string name() const override { return "switch"; }
+  } policy;
+  policy.active = &holder;
+  Engine engine(c, w, policy, util::Rng(1));
+  while (engine.unscheduled_count() < 6) engine.step();
+
+  std::vector<Task> taken;
+  engine.take_unscheduled(4, taken);
+  ASSERT_EQ(taken.size(), 4u);
+  EXPECT_EQ(engine.tasks_total(), 6u);
+  // Newest first: the scheduler keeps its FIFO head.
+  EXPECT_EQ(taken.front().id, w.tasks[5].id);
+
+  // The same ids come back (as a federation link would return them) and
+  // must resolve to their fresh entries.
+  policy.active = &rr;
+  for (const Task& t : taken) engine.inject_task(t, engine.now() + 1.0);
+  while (!engine.finished()) {
+    if (engine.has_events()) {
+      engine.step();
+    } else {
+      ASSERT_TRUE(engine.kick());
+    }
+  }
+  EXPECT_EQ(engine.tasks_total(), 10u);
+  EXPECT_EQ(engine.tasks_completed(), 6u);
+  const SimulationResult r = engine.result();
+  EXPECT_EQ(r.tasks_completed, 6u);
+  EXPECT_DOUBLE_EQ(r.per_proc[0].work_mflops + r.per_proc[1].work_mflops,
+                   60.0);
+}
+
 TEST(Engine, EmptyClusterRejected) {
   Cluster c;
   const Workload w = constant_workload(1, 10.0);

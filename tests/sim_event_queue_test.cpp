@@ -217,5 +217,136 @@ TEST(CalendarQueuePropertyTest, GrowShrinkCycleKeepsOrder) {
   EXPECT_TRUE(ref.empty());
 }
 
+// Mirrors every operation into the reference heap and checks each pop.
+struct Mirrored {
+  CalendarQueue<int> q;
+  RefQueue ref;
+  std::uint64_t seq = 0;
+  double clock = 0.0;
+
+  void push(double t) {
+    q.push(t, static_cast<int>(seq));
+    ref.push(RefEvent{t, seq, static_cast<int>(seq)});
+    ++seq;
+  }
+  void pop() {
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(q.top_time(), ref.top().time);
+    ASSERT_EQ(q.top(), ref.top().tag) << "order diverged at seq " << seq;
+    clock = ref.top().time;
+    q.pop();
+    ref.pop();
+  }
+};
+
+TEST(CalendarQueueRebuildTest, FederationTransferShapeMatchesHeap) {
+  // The federation's transfer queue: a burst of pushes landing in a
+  // narrow window just ahead of the clock (latency + size/bandwidth),
+  // mixed with pops, growing through several doublings...
+  util::Rng rng(2024);
+  Mirrored m;
+  for (std::size_t i = 0; i < 50'000; ++i) {
+    m.push(m.clock + 0.25 + rng.uniform(0.0, 0.05));
+    if (i % 5 == 4) {
+      m.pop();
+      if (HasFatalFailure()) return;
+    }
+  }
+  // ...then an equal-time flood at least as large as the queue, just
+  // past every queued event, so a doubling rebuild fires in the middle
+  // of it (and must keep it FIFO, and linear)...
+  const double flood_time = m.clock + 0.31;
+  const std::size_t flood = m.q.size() + 1000;
+  for (std::size_t i = 0; i < flood; ++i) {
+    m.push(flood_time);
+    if (i % 97 == 0) m.push(m.clock + 0.25 + rng.uniform(0.0, 0.05));
+  }
+  // ...then a hold at constant size whose increments are far wider than
+  // the window the buckets were sized for: the spread drifts until the
+  // empty-bucket scans fire the stress re-width...
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    m.pop();
+    if (HasFatalFailure()) return;
+    m.push(m.clock + rng.uniform(0.0, 1e4));
+  }
+  // ...and a drain through every halving.
+  while (!m.q.empty()) {
+    m.pop();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(m.ref.empty());
+}
+
+TEST(CalendarQueueRebuildTest, EqualTimeFloodStraddlingRebuildsStaysFifo) {
+  // Several equal-time floods at interleaved timestamps, each pushed in
+  // runs that straddle doubling rebuilds, then popped through halvings.
+  Mirrored m;
+  for (std::size_t round = 0; round < 4; ++round) {
+    for (std::size_t i = 0; i < 20'000; ++i) {
+      m.push(10.0 + static_cast<double>(i % 3));
+      if (i % 1000 == 999) m.push(5.0 + static_cast<double>(round));
+    }
+    for (std::size_t i = 0; i < 15'000; ++i) {
+      m.pop();
+      if (HasFatalFailure()) return;
+    }
+  }
+  while (!m.q.empty()) {
+    m.pop();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(m.ref.empty());
+}
+
+TEST(CalendarQueueRebuildTest, SkewedSpreadAcrossManyYearsMatchesHeap) {
+  // A dense front plus a sparse tail thousands of bucket-years long: the
+  // width follows the front's interquartile gap, so each bucket holds
+  // events from many calendar years and a rebuild's walk meets runs that
+  // interleave in time across old buckets.
+  for (std::uint64_t seed = 40; seed < 42; ++seed) {
+    util::Rng rng(seed);
+    Mirrored m;
+    auto push_one = [&] {
+      const bool tail = rng.uniform01() < 0.2;
+      m.push(m.clock + (tail ? rng.uniform(0.0, 1e5) : rng.uniform(0.0, 1.0)));
+    };
+    for (std::size_t i = 0; i < 12'000; ++i) {
+      push_one();
+      if (i % 3 == 2) {
+        m.pop();
+        if (HasFatalFailure()) return;
+      }
+    }
+    for (std::size_t i = 0; i < 6'000; ++i) {
+      m.pop();
+      if (HasFatalFailure()) return;
+      if (i % 4 == 0) push_one();
+    }
+    while (!m.q.empty()) {
+      m.pop();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(m.ref.empty());
+  }
+}
+
+TEST(CalendarQueueRebuildTest, RebuildMergesRunsFromDifferentOldBuckets) {
+  // A fresh queue has 16 buckets of width 1, so 16.5 (year 1) is the
+  // last entry of old bucket 0 and 1.5 the first of old bucket 1. The
+  // 33rd push doubles the table with a width of about 31, putting 0.5,
+  // 16.5 and 1.5 into one new bucket: the walk meets 1.5 right after
+  // 16.5 and must sort it in before it, not append it.
+  Mirrored m;
+  m.push(16.5);
+  m.push(1.5);
+  m.push(0.5);
+  for (int k = 10; k <= 39; ++k) m.push(8.5 + 16.0 * k);  // all in bucket 8
+  ASSERT_EQ(m.q.size(), 33u);
+  while (!m.q.empty()) {
+    m.pop();
+    if (HasFatalFailure()) return;
+  }
+}
+
 }  // namespace
 }  // namespace gasched::sim
