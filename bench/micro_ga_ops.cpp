@@ -53,17 +53,11 @@ struct BatchFixture {
         }()),
         chromosome([&] {
           util::Rng rng(2);
-          return codec.encode(core::list_schedule(eval, 0.5, rng));
+          core::FlatSchedule start;
+          core::list_schedule_flat(eval, 0.5, rng, start);
+          return codec.encode(start);
         }()) {}
 };
-
-void BM_Decode(benchmark::State& state) {
-  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.codec.decode(f.chromosome));
-  }
-}
-BENCHMARK(BM_Decode)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_FlatDecode(benchmark::State& state) {
   // The zero-allocation decode path: reused FlatSchedule workspace.
@@ -78,9 +72,10 @@ BENCHMARK(BM_FlatDecode)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_FitnessEval(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  const auto queues = f.codec.decode(f.chromosome);
+  core::FlatSchedule flat;
+  f.codec.decode_into(f.chromosome, flat);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.eval.fitness(queues));
+    benchmark::DoNotOptimize(f.eval.fitness(flat));
   }
 }
 BENCHMARK(BM_FitnessEval)->Arg(50)->Arg(200)->Arg(1000);
@@ -143,31 +138,6 @@ void BM_EvaluateSwapDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateSwapDelta)->Arg(50)->Arg(200)->Arg(1000);
-
-void BM_CompletionTimeKernel(benchmark::State& state) {
-  // Canonical left-to-right queue pricing (table-served costs) vs the
-  // sum-then-divide bulk form: range(1) selects the kernel so a single
-  // compare run shows both. The bulk form is opt-in only (not bitwise
-  // equal); this benchmark is where its headroom is measured.
-  BatchFixture f(static_cast<std::size_t>(state.range(0)), 8);
-  core::FlatSchedule flat;
-  f.codec.decode_into(f.chromosome, flat);
-  const bool bulk = state.range(1) != 0;
-  const std::size_t procs = flat.num_procs();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < procs; ++j) {
-      acc += bulk ? f.eval.completion_time_bulk(j, flat.queue(j))
-                  : f.eval.completion_time(j, flat.queue(j));
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_CompletionTimeKernel)
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1});
 
 void BM_CycleCrossover(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
@@ -282,8 +252,10 @@ BENCHMARK(BM_GaGeneration)->Arg(200);
 void BM_ListScheduleInit(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
   util::Rng rng(8);
+  core::FlatSchedule flat;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::list_schedule(f.eval, 0.5, rng));
+    core::list_schedule_flat(f.eval, 0.5, rng, flat);
+    benchmark::DoNotOptimize(flat.num_slots());
   }
 }
 BENCHMARK(BM_ListScheduleInit)->Arg(200);

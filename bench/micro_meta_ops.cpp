@@ -20,7 +20,7 @@ struct MetaFixture {
   std::size_t tasks;
   std::size_t procs;
   core::ScheduleEvaluator eval;
-  core::ProcQueues initial;
+  core::FlatSchedule initial;
 
   static sim::SystemView view_for(std::size_t procs, util::Rng& rng) {
     sim::SystemView v;
@@ -46,7 +46,9 @@ struct MetaFixture {
         }()),
         initial([&] {
           util::Rng rng(2);
-          return core::list_schedule(eval, 0.5, rng);
+          core::FlatSchedule start;
+          core::list_schedule_flat(eval, 0.5, rng, start);
+          return start;
         }()) {}
 };
 
@@ -54,11 +56,9 @@ void BM_LoadTrackerResetFlat(benchmark::State& state) {
   // The restart path of the local searchers: re-initialise an existing
   // tracker from a flat schedule, reusing its buffers (no allocation).
   const MetaFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  core::FlatSchedule flat;
-  flat.assign(f.initial);
-  meta::LoadTracker t(f.eval, flat);
+  meta::LoadTracker t(f.eval, f.initial);
   for (auto _ : state) {
-    t.reset(f.eval, flat);
+    t.reset(f.eval, f.initial);
     benchmark::DoNotOptimize(t.makespan());
   }
 }

@@ -15,15 +15,6 @@ void FlatSchedule::assign(const ProcQueues& queues) {
   }
 }
 
-ProcQueues FlatSchedule::to_queues() const {
-  ProcQueues q(num_procs());
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    const auto view = queue(j);
-    q[j].assign(view.begin(), view.end());
-  }
-  return q;
-}
-
 void FlatSchedule::assign_grouped(std::span<const std::size_t> slot_proc,
                                   std::size_t num_procs) {
   offsets_.assign(num_procs + 1, 0);
@@ -56,28 +47,6 @@ ScheduleCodec::ScheduleCodec(std::size_t num_tasks, std::size_t num_procs)
   }
 }
 
-ga::Chromosome ScheduleCodec::encode(const ProcQueues& queues) const {
-  if (queues.size() != num_procs_) {
-    throw std::invalid_argument("ScheduleCodec::encode: wrong queue count");
-  }
-  ga::Chromosome c;
-  c.reserve(chromosome_length());
-  for (std::size_t j = 0; j < num_procs_; ++j) {
-    if (j > 0) c.push_back(delimiter_gene(j - 1));
-    for (const std::size_t slot : queues[j]) {
-      if (slot >= num_tasks_) {
-        throw std::invalid_argument("ScheduleCodec::encode: slot out of range");
-      }
-      c.push_back(task_gene(slot));
-    }
-  }
-  if (c.size() != chromosome_length()) {
-    throw std::invalid_argument(
-        "ScheduleCodec::encode: queues do not cover the batch exactly once");
-  }
-  return c;
-}
-
 ga::Chromosome ScheduleCodec::encode(const FlatSchedule& schedule) const {
   if (schedule.num_procs() != num_procs_) {
     throw std::invalid_argument("ScheduleCodec::encode: wrong queue count");
@@ -98,23 +67,6 @@ ga::Chromosome ScheduleCodec::encode(const FlatSchedule& schedule) const {
         "ScheduleCodec::encode: queues do not cover the batch exactly once");
   }
   return c;
-}
-
-ProcQueues ScheduleCodec::decode(const ga::Chromosome& c) const {
-  ProcQueues queues(num_procs_);
-  std::size_t proc = 0;
-  for (const ga::Gene g : c) {
-    if (is_delimiter(g)) {
-      ++proc;
-      if (proc >= num_procs_) {
-        throw std::invalid_argument(
-            "ScheduleCodec::decode: too many delimiters");
-      }
-    } else {
-      queues[proc].push_back(task_slot(g));
-    }
-  }
-  return queues;
 }
 
 void ScheduleCodec::decode_into(const ga::Chromosome& c,

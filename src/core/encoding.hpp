@@ -20,14 +20,14 @@
 namespace gasched::core {
 
 /// Per-processor ordered queues of batch slots (0-based indices into the
-/// batch's task array).
+/// batch's task array): the literal form FlatSchedule::assign() takes.
 using ProcQueues = std::vector<std::vector<std::size_t>>;
 
 /// Flat decoded schedule: every batch slot in one contiguous array,
 /// grouped by processor, plus M+1 queue offsets. This is the
 /// zero-allocation decode target of the evaluation core — decoding into a
 /// reused FlatSchedule touches no heap once its buffers have grown to the
-/// batch size, unlike ProcQueues (one vector per processor per decode).
+/// batch size.
 /// Queue order is significant: it is the dispatch order of the schedule.
 class FlatSchedule {
  public:
@@ -52,13 +52,12 @@ class FlatSchedule {
   /// All slots in processor-grouped order.
   std::span<const std::size_t> slots() const noexcept { return slots_; }
 
-  /// Rebuilds from per-processor queues (adapter for the legacy path).
+  /// Rebuilds from literal per-processor queues (the form tests write
+  /// schedules in).
   void assign(const ProcQueues& queues);
-  /// Materialises per-processor queues (adapter for the legacy path).
-  ProcQueues to_queues() const;
 
   /// Rebuilds from a slot → processor map; slots are placed in ascending
-  /// slot order within each queue (matching meta::LoadTracker::to_queues).
+  /// slot order within each queue (meta::LoadTracker::export_schedule).
   void assign_grouped(std::span<const std::size_t> slot_proc,
                       std::size_t num_procs);
   /// Rebuilds from a slot → processor map, placing slots in the order
@@ -80,7 +79,7 @@ class FlatSchedule {
   std::vector<std::size_t> cursor_;   // scratch for the bucket builders
 };
 
-/// Translates between chromosomes and per-processor queues for a batch of
+/// Translates between chromosomes and flat schedules for a batch of
 /// `num_tasks` tasks on `num_procs` processors.
 class ScheduleCodec {
  public:
@@ -112,21 +111,15 @@ class ScheduleCodec {
     return -static_cast<ga::Gene>(k) - 1;
   }
 
-  /// Encodes per-processor queues into a chromosome. `queues` must have
-  /// exactly num_procs entries covering every batch slot exactly once.
-  ga::Chromosome encode(const ProcQueues& queues) const;
-
-  /// Encodes a flat schedule into a chromosome (same validation rules).
+  /// Encodes a flat schedule into a chromosome. `schedule` must have
+  /// exactly num_procs queues covering every batch slot exactly once.
   ga::Chromosome encode(const FlatSchedule& schedule) const;
 
-  /// Decodes a chromosome into per-processor queues. The k-th delimiter
-  /// *position* (not value) ends processor k's queue, matching the paper's
-  /// "-1 delimits different processor queues" reading.
-  ProcQueues decode(const ga::Chromosome& c) const;
-
-  /// Decodes into a caller-owned flat schedule, reusing its buffers:
-  /// allocation-free once `out` has reached the batch size. Produces the
-  /// same queues (content and order) as decode().
+  /// Decodes a chromosome into a caller-owned flat schedule, reusing its
+  /// buffers: allocation-free once `out` has reached the batch size. The
+  /// k-th delimiter *position* (not value) ends processor k's queue,
+  /// matching the paper's "-1 delimits different processor queues"
+  /// reading.
   void decode_into(const ga::Chromosome& c, FlatSchedule& out) const;
 
   /// Validates that `c` is a permutation of the expected symbol set.

@@ -4,18 +4,14 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/kernels.hpp"
 #include "core/rebalance.hpp"
 
 namespace gasched::core {
 
 ScheduleEvaluator::ScheduleEvaluator(std::vector<double> task_sizes,
                                      const sim::SystemView& view,
-                                     bool use_comm, NumericMode mode)
-    : size_(std::move(task_sizes)),
-      mode_(mode),
-      audit_(mode == NumericMode::kFast ? ToleranceAudit::current()
-                                        : nullptr) {
+                                     bool use_comm, NumericMode)
+    : size_(std::move(task_sizes)) {
   if (view.procs.empty()) {
     throw std::invalid_argument("ScheduleEvaluator: empty system view");
   }
@@ -60,10 +56,6 @@ ScheduleEvaluator::ScheduleEvaluator(std::vector<double> task_sizes,
       row[slot] = size_[slot] / rate + comm;
     }
   }
-  // Fast-path shape: gather pricing only pays off once queues are long
-  // enough to fill SIMD lanes (see gather_shape() in the header).
-  gather_shape_ = mode_ == NumericMode::kFast &&
-                  N >= kGatherShapeMinSlotsPerQueue * rate_.size();
 }
 
 double ScheduleEvaluator::completion_time(
@@ -76,16 +68,6 @@ double ScheduleEvaluator::completion_time(
   return c;
 }
 
-double ScheduleEvaluator::completion_time_bulk(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  double sum = 0.0;
-  for (const std::size_t slot : queue) {
-    sum += size_[slot];
-  }
-  return delta_[j] + sum / rate_[j] +
-         static_cast<double>(queue.size()) * comm_[j];
-}
-
 double ScheduleEvaluator::makespan(const FlatSchedule& schedule) const {
   double m = 0.0;
   for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
@@ -94,27 +76,10 @@ double ScheduleEvaluator::makespan(const FlatSchedule& schedule) const {
   return m;
 }
 
-double ScheduleEvaluator::makespan(const ProcQueues& queues) const {
-  double m = 0.0;
-  for (std::size_t j = 0; j < queues.size(); ++j) {
-    m = std::max(m, completion_time(j, queues[j]));
-  }
-  return m;
-}
-
 double ScheduleEvaluator::relative_error(const FlatSchedule& schedule) const {
   double sum_sq = 0.0;
   for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
     const double dev = psi_ - completion_time(j, schedule.queue(j));
-    sum_sq += dev * dev;
-  }
-  return std::sqrt(sum_sq);
-}
-
-double ScheduleEvaluator::relative_error(const ProcQueues& queues) const {
-  double sum_sq = 0.0;
-  for (std::size_t j = 0; j < queues.size(); ++j) {
-    const double dev = psi_ - completion_time(j, queues[j]);
     sum_sq += dev * dev;
   }
   return std::sqrt(sum_sq);
@@ -133,11 +98,7 @@ double ScheduleEvaluator::fitness(const FlatSchedule& schedule) const {
   return fitness_of_error(relative_error(schedule));
 }
 
-double ScheduleEvaluator::fitness(const ProcQueues& queues) const {
-  return fitness_of_error(relative_error(queues));
-}
-
-BatchEvaluation ScheduleEvaluator::evaluate_exact(
+BatchEvaluation ScheduleEvaluator::evaluate(
     const FlatSchedule& schedule) const {
   double m = 0.0;
   double sum_sq = 0.0;
@@ -149,82 +110,6 @@ BatchEvaluation ScheduleEvaluator::evaluate_exact(
   }
   const double e = std::sqrt(sum_sq);
   return {fitness_of_error(e), m, e};
-}
-
-namespace {
-
-/// Audit sampling stream of the stateless fast evaluate(FlatSchedule)
-/// path: per-thread, so concurrent callers never race (workspace paths
-/// use the per-workspace QueueLoads::audit_tick instead).
-thread_local std::uint64_t t_stateless_audit_tick = 0;
-
-}  // namespace
-
-double ScheduleEvaluator::fast_queue_completion(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  return delta_[j] +
-         kernels::sum_gather(cost_row(j), queue.data(), queue.size());
-}
-
-double ScheduleEvaluator::fast_completion(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  if (gather_shape_) return fast_queue_completion(j, queue);
-  return completion_time(j, queue);
-}
-
-void ScheduleEvaluator::shadow_check(const FlatSchedule& schedule,
-                                     const BatchEvaluation& fast) const {
-  const BatchEvaluation exact = evaluate_exact(schedule);
-  // One deviation per sample: the worst of the three reported metrics.
-  // Fitness lives in [0, 1] (scale 1); makespan and E are times whose
-  // natural scale is ψ — see core::metric_deviation for the floor rule.
-  const double dev = std::max(
-      {metric_deviation(fast.fitness, exact.fitness, 1.0),
-       metric_deviation(fast.makespan, exact.makespan, psi_),
-       metric_deviation(fast.relative_error, exact.relative_error, psi_)});
-  audit_->record(dev);
-}
-
-void ScheduleEvaluator::maybe_audit(const FlatSchedule& schedule,
-                                    const BatchEvaluation& fast,
-                                    std::uint64_t& tick) const {
-  if (audit_ == nullptr) return;
-  const std::size_t period = audit_->config().sample_period;
-  if (period == 0) return;
-  if (++tick % period != 0) return;
-  shadow_check(schedule, fast);
-}
-
-void ScheduleEvaluator::audit_batched(const ScheduleCodec& codec,
-                                      const ga::Chromosome& c,
-                                      const BatchEvaluation& fast,
-                                      FlatSchedule& scratch,
-                                      std::uint64_t& tick) const {
-  if (audit_ == nullptr) return;
-  const std::size_t period = audit_->config().sample_period;
-  if (period == 0) return;
-  if (++tick % period != 0) return;
-  // Sampled lanes re-decode (rare — once per sample_period pricings);
-  // unsampled lanes never pay a second pass.
-  codec.decode_into(c, scratch);
-  shadow_check(scratch, fast);
-}
-
-BatchEvaluation ScheduleEvaluator::evaluate(
-    const FlatSchedule& schedule) const {
-  if (mode_ != NumericMode::kFast) return evaluate_exact(schedule);
-  double m = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
-    const double cj = fast_completion(j, schedule.queue(j));
-    m = std::max(m, cj);
-    const double dev = psi_ - cj;
-    sum_sq += dev * dev;
-  }
-  const double e = std::sqrt(sum_sq);
-  const BatchEvaluation fast{fitness_of_error(e), m, e};
-  maybe_audit(schedule, fast, t_stateless_audit_tick);
-  return fast;
 }
 
 BatchEvaluation ScheduleEvaluator::reduce(QueueLoads& loads) const {
@@ -262,37 +147,8 @@ void ScheduleEvaluator::reprice_queue(const FlatSchedule& schedule,
   loads.dev_sq[j] = dev * dev;
 }
 
-BatchEvaluation ScheduleEvaluator::reduce_fast(QueueLoads& loads) const {
-  // Kernel reduction straight from the completion array. A fast delta
-  // re-price reduces the exact same completions through the exact same
-  // kernel as a fast full pricing, so within kFast the delta paths stay
-  // bit-identical to load() — the invariant the rebalance loop's
-  // improve-supplied evaluation channel needs.
-  const kernels::Reduction r = kernels::reduce_deviation(
-      loads.completion.data(), loads.completion.size(), psi_);
-  loads.sum_sq = r.sum_sq;
-  loads.max_completion = r.max;
-  loads.heaviest = r.argmax;
-  const double e = std::sqrt(r.sum_sq);
-  loads.eval = {fitness_of_error(e), r.max, e};
-  return loads.eval;
-}
-
-BatchEvaluation ScheduleEvaluator::load_fast(const FlatSchedule& schedule,
-                                             QueueLoads& out) const {
-  const std::size_t M = schedule.num_procs();
-  out.completion.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    out.completion[j] = fast_completion(j, schedule.queue(j));
-  }
-  const BatchEvaluation fast = reduce_fast(out);
-  maybe_audit(schedule, fast, out.audit_tick);
-  return fast;
-}
-
 BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
                                         QueueLoads& out) const {
-  if (mode_ == NumericMode::kFast) return load_fast(schedule, out);
   const std::size_t M = schedule.num_procs();
   out.completion.resize(M);
   out.dev_sq.resize(M);
@@ -343,20 +199,6 @@ BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
                                                 const ga::Chromosome& c,
                                                 FlatSchedule& schedule,
                                                 QueueLoads& out) const {
-  if (mode_ == NumericMode::kFast) {
-    if (gather_shape_) {
-      // Long queues: decode once, then gather-sum each queue over its
-      // cost pane with the SIMD kernels.
-      codec.decode_into(c, schedule);
-      return load_fast(schedule, out);
-    }
-    // Short queues: the fused scalar walk prices faster than any gather;
-    // fast mode keeps it and vectorizes only the metrics reduction.
-    fused_decode_price(codec, c, schedule, out.completion);
-    const BatchEvaluation fast = reduce_fast(out);
-    maybe_audit(schedule, fast, out.audit_tick);
-    return fast;
-  }
   fused_decode_price(codec, c, schedule, out.completion);
   const std::size_t M = codec.num_procs();
   out.dev_sq.resize(M);
@@ -371,15 +213,6 @@ BatchEvaluation ScheduleEvaluator::evaluate_swap(const FlatSchedule& schedule,
                                                  QueueLoads& loads,
                                                  std::size_t qa,
                                                  std::size_t qb) const {
-  if (mode_ == NumericMode::kFast) {
-    loads.completion[qa] = fast_completion(qa, schedule.queue(qa));
-    if (qb != qa) {
-      loads.completion[qb] = fast_completion(qb, schedule.queue(qb));
-    }
-    const BatchEvaluation fast = reduce_fast(loads);
-    maybe_audit(schedule, fast, loads.audit_tick);
-    return fast;
-  }
   reprice_queue(schedule, loads, qa);
   if (qb != qa) reprice_queue(schedule, loads, qb);
   return reduce(loads);
@@ -392,25 +225,17 @@ BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
   return evaluate_swap(schedule, loads, from, to);
 }
 
-BatchEvaluation ScheduleEvaluator::reduce_completion_fast(
-    const double* completion) const {
-  const kernels::Reduction r =
-      kernels::reduce_deviation(completion, num_procs(), psi_);
-  const double e = std::sqrt(r.sum_sq);
-  return {fitness_of_error(e), r.max, e};
-}
-
 ScheduleProblem::ScheduleProblem(const ScheduleCodec& codec,
                                  const ScheduleEvaluator& eval,
                                  std::size_t rebalance_probes)
     : codec_(codec), eval_(eval), probes_(rebalance_probes) {}
 
 double ScheduleProblem::fitness(const ga::Chromosome& c) const {
-  return eval_.fitness(codec_.decode(c));
+  return evaluate(c, nullptr).fitness;
 }
 
 double ScheduleProblem::objective(const ga::Chromosome& c) const {
-  return eval_.makespan(codec_.decode(c));
+  return evaluate(c, nullptr).objective;
 }
 
 ga::GaProblem::Evaluation ScheduleProblem::evaluate(const ga::Chromosome& c,
@@ -423,58 +248,6 @@ ga::GaProblem::Evaluation ScheduleProblem::evaluate(const ga::Chromosome& c,
   const BatchEvaluation e =
       eval_.load_decoded(codec_, c, w.schedule, w.loads);
   return {e.fitness, e.makespan};
-}
-
-void ScheduleProblem::evaluate_batch(std::span<const ga::Chromosome> pop,
-                                     std::span<const std::size_t> indices,
-                                     Workspace* ws, Evaluation* out) const {
-  // The queue-major gather machinery below only pays off in the gather
-  // shape (long queues). In the short-queue shape the per-chromosome
-  // fused decode+price walk (load_decoded via the base loop) is already
-  // the fastest pricing we have, so delegate to it.
-  if (eval_.numeric_mode() != NumericMode::kFast || !eval_.gather_shape() ||
-      ws == nullptr || indices.empty()) {
-    ga::GaProblem::evaluate_batch(pop, indices, ws, out);
-    return;
-  }
-  auto& w = static_cast<EvalWorkspace&>(*ws);
-  const std::size_t B = indices.size();
-  const std::size_t M = eval_.num_procs();
-  if (w.lane_schedule.size() < B) w.lane_schedule.resize(B);
-  w.lane_completion.resize(B * M);
-  w.lane_eval.resize(B);
-  // Pass 1: decode each block member into its own reused flat schedule.
-  for (std::size_t k = 0; k < B; ++k) {
-    codec_.decode_into(pop[indices[k]], w.lane_schedule[k]);
-  }
-  // Pass 2: queue-major gather-pricing — for each processor j, price
-  // queue j of *every* lane over pane row j while the row is hot in L1.
-  // Lane-major order would stream the whole cost table (M·N doubles)
-  // once per chromosome; queue-major streams it once per block. The
-  // per-queue sums are the same doubles either way, so this ordering is
-  // a pure locality choice.
-  const kernels::SumGatherFn gather = kernels::sum_gather_fn();
-  for (std::size_t j = 0; j < M; ++j) {
-    const double* row = eval_.cost_row(j);
-    const double dj = eval_.delta(j);
-    double* lanes = w.lane_completion.data();
-    for (std::size_t k = 0; k < B; ++k) {
-      const auto queue = w.lane_schedule[k].queue(j);
-      lanes[k * M + j] = dj + gather(row, queue.data(), queue.size());
-    }
-  }
-  // Pass 3: one kernel-reduction sweep over the lanes. The audit samples
-  // from the same per-workspace stream as the single-chromosome paths; a
-  // sampled lane re-decodes into the workspace schedule for its exact
-  // shadow pricing.
-  for (std::size_t k = 0; k < B; ++k) {
-    const BatchEvaluation fast =
-        eval_.reduce_completion_fast(w.lane_completion.data() + k * M);
-    w.lane_eval[k] = fast;
-    eval_.audit_batched(codec_, pop[indices[k]], fast, w.schedule,
-                        w.loads.audit_tick);
-    out[k] = {fast.fitness, fast.makespan};
-  }
 }
 
 std::unique_ptr<ga::GaProblem::Workspace> ScheduleProblem::make_workspace()

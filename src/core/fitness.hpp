@@ -15,7 +15,6 @@
 // (use_comm = false). Units follow DESIGN.md's documented correction: all
 // summands of C_j are seconds.
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -49,61 +48,27 @@ struct BatchEvaluation {
 /// rebuilt from scratch by every full pricing.
 struct QueueLoads {
   std::vector<double> completion;  ///< C_j per processor
-  std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor (exact mode)
-  double sum_sq = 0.0;             ///< Σ_j dev squares (see mode note)
+  std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor
+  double sum_sq = 0.0;             ///< Σ_j dev_sq, summed in ascending j
   double max_completion = 0.0;     ///< max_j C_j (makespan)
   std::size_t heaviest = 0;        ///< first argmax_j C_j
   BatchEvaluation eval;            ///< reduced metrics of the cached state
-  /// Tolerance-audit sampling counter of this workspace's fast pricings
-  /// (kFast only): every sample_period-th pricing through this cache is
-  /// shadow-priced exactly. Per-workspace state, so parallel evaluation
-  /// never races on it.
-  std::uint64_t audit_tick = 0;
-
-  // Mode note (docs/evaluation.md): under kExact, dev_sq caches the
-  // per-queue squares and sum_sq is their j-ascending sum — the bitwise
-  // delta-repricing contract. Under kFast, dev_sq is not maintained
-  // (reductions recompute from `completion` with the SIMD kernel, which
-  // is what keeps fast delta pricing bit-identical to fast full pricing)
-  // and sum_sq holds the kernel's vector-order sum.
 };
 
 /// Evaluates schedules for one batch against one system snapshot.
 ///
-/// Numeric modes (core/numeric.hpp; docs/evaluation.md): under kExact
-/// (the default) every path keeps the canonical left-to-right summation
-/// and its bit-identity promises. Under kFast, the full-pricing paths —
-/// evaluate(FlatSchedule), load(), load_decoded(), the delta paths, and
-/// the batched population pricing — route through the SIMD kernels of
-/// core/kernels.hpp, and the evaluator captures ToleranceAudit::current()
-/// at construction to shadow-price a deterministic sample of evaluations
-/// through the exact path. The convenience adapters (ProcQueues
-/// overloads, completion_time, fitness/makespan/relative_error) stay
-/// exact in both modes: they serve one-off callers where vectorization
-/// buys nothing and bit-stability is worth keeping.
+/// Every path sums each C_j left to right in queue order and reduces the
+/// metrics in ascending j, so full, fused and delta pricing all return
+/// the same doubles (docs/evaluation.md).
 class ScheduleEvaluator {
  public:
   /// `task_sizes[slot]` is the MFLOP size of batch slot `slot`;
   /// `view` supplies P_j, L_j, and Γc_j. When `use_comm` is false the
   /// Γc_j term is dropped (ZO baseline). View rates must be positive.
-  /// `mode` defaults to the process-wide default_numeric_mode().
+  /// NumericMode has the single value kExact (core/numeric.hpp).
   ScheduleEvaluator(std::vector<double> task_sizes,
                     const sim::SystemView& view, bool use_comm,
                     NumericMode mode = default_numeric_mode());
-
-  /// Numeric mode this evaluator prices with.
-  NumericMode numeric_mode() const noexcept { return mode_; }
-
-  /// Fast-path pricing shape, fixed at construction from the problem
-  /// geometry (only meaningful under kFast). When the mean queue is long
-  /// enough (N/M >= kGatherShapeMinSlotsPerQueue) fast pricing gathers
-  /// each queue over its cost pane with the SIMD kernels; below that the
-  /// gather setup cost exceeds the work (measured: ~4-slot queues price
-  /// slower through the gather than through the fused scalar walk), so
-  /// fast pricing keeps the exact per-queue summation and vectorizes
-  /// only the metrics reduction. Both shapes honour the same invariant:
-  /// fast delta re-pricing is bit-identical to fast full pricing.
-  bool gather_shape() const noexcept { return gather_shape_; }
 
   /// Number of processors M.
   std::size_t num_procs() const noexcept { return rate_.size(); }
@@ -113,22 +78,18 @@ class ScheduleEvaluator {
   double psi() const noexcept { return psi_; }
 
   /// Finish time C_j of processor j running `queue` (slots) after its
-  /// existing load. Accepts any contiguous slot sequence — a FlatSchedule
-  /// queue view or a legacy ProcQueues entry.
+  /// existing load. Accepts any contiguous slot sequence.
   double completion_time(std::size_t j,
                          std::span<const std::size_t> queue) const;
 
   /// Estimated makespan max_j C_j of a full decoded schedule.
   double makespan(const FlatSchedule& schedule) const;
-  double makespan(const ProcQueues& queues) const;
 
   /// Relative error E of a schedule (see header comment).
   double relative_error(const FlatSchedule& schedule) const;
-  double relative_error(const ProcQueues& queues) const;
 
   /// Fitness F = min(1, 1/E); E = 0 maps to 1 (perfect).
   double fitness(const FlatSchedule& schedule) const;
-  double fitness(const ProcQueues& queues) const;
 
   /// Fitness, makespan, and relative error in one pass over the
   /// completion times — the hot-path form: no per-call containers, each
@@ -167,15 +128,6 @@ class ScheduleEvaluator {
                                 QueueLoads& loads, std::size_t from,
                                 std::size_t to) const;
 
-  /// Vectorizable bulk kernel: C_j as a contiguous slot-size sum followed
-  /// by one divide — Σ t_y / P_j + n·Γc_j + δ_j. Mathematically equal to
-  /// completion_time() but NOT bitwise (different FP association), so the
-  /// canonical pricing paths never use it; it exists for throughput
-  /// experiments (bench BM_CompletionTimeKernel) and future opt-in
-  /// consumers that tolerate last-ulp drift.
-  double completion_time_bulk(std::size_t j,
-                              std::span<const std::size_t> queue) const;
-
   /// Size of batch slot `slot` in MFLOPs.
   double task_size(std::size_t slot) const { return size_.at(slot); }
   /// Per-task execution+comm cost on processor j (seconds). Served from
@@ -184,25 +136,6 @@ class ScheduleEvaluator {
   double task_cost_on(std::size_t slot, std::size_t j) const {
     return cost_[j * size_.size() + slot];
   }
-  /// Processor j's contiguous cost pane: cost_row(j)[slot] ==
-  /// task_cost_on(slot, j) for slot in [0, num_tasks()). The cost table
-  /// is laid out structure-of-arrays — one pane per processor — so queue
-  /// pricing is a gather over a single pane; this is the pointer the
-  /// SIMD kernels (core/kernels.hpp) consume.
-  const double* cost_row(std::size_t j) const {
-    return cost_.data() + j * size_.size();
-  }
-
-  /// Reduces one M-double completion lane to metrics with the SIMD
-  /// reduction kernel — the per-lane finish of the batched population
-  /// pricing (ScheduleProblem::evaluate_batch). Requires kFast.
-  BatchEvaluation reduce_completion_fast(const double* completion) const;
-  /// Tolerance-audit sampling hook of the batched path: bumps `tick`
-  /// and, on the sampled period, re-decodes `c` into `scratch` and
-  /// shadow-prices it exactly against `fast` (hard error on violation).
-  void audit_batched(const ScheduleCodec& codec, const ga::Chromosome& c,
-                     const BatchEvaluation& fast, FlatSchedule& scratch,
-                     std::uint64_t& tick) const;
   /// Existing drain time δ_j of processor j (seconds).
   double delta(std::size_t j) const { return delta_.at(j); }
   /// Rate P_j of processor j (Mflop/s).
@@ -219,40 +152,12 @@ class ScheduleEvaluator {
   void reprice_queue(const FlatSchedule& schedule, QueueLoads& loads,
                      std::size_t j) const;
 
-  /// The canonical single-pass evaluation (always exact) — the shadow
-  /// path the tolerance audit compares against.
-  BatchEvaluation evaluate_exact(const FlatSchedule& schedule) const;
-  /// Kernel-summed C_j of one queue: δ_j + sum_gather over the pane.
-  double fast_queue_completion(std::size_t j,
-                               std::span<const std::size_t> queue) const;
-  /// Shape-dispatched fast C_j: the gather kernel when gather_shape(),
-  /// the canonical left-to-right walk otherwise. Every fast pricing path
-  /// (full and delta) routes per-queue sums through this one function so
-  /// the fast-full == fast-delta bit-identity holds in either shape.
-  double fast_completion(std::size_t j,
-                         std::span<const std::size_t> queue) const;
-  /// The fused decode+price walk shared by the exact load_decoded() and
-  /// the short-queue fast shape: decodes `c` into `schedule` while
-  /// accumulating each C_j (seeded with δ_j) into `completion` in queue
-  /// order — the same left-to-right summation completion_time() performs.
+  /// Decodes `c` into `schedule` while accumulating each C_j (seeded
+  /// with δ_j) into `completion` in queue order — the same left-to-right
+  /// summation completion_time() performs.
   void fused_decode_price(const ScheduleCodec& codec, const ga::Chromosome& c,
                           FlatSchedule& schedule,
                           std::vector<double>& completion) const;
-  /// Kernel reduction of `loads` (completion array only; dev_sq is not
-  /// maintained under kFast).
-  BatchEvaluation reduce_fast(QueueLoads& loads) const;
-  /// Fast full pricing (kFast body of load()).
-  BatchEvaluation load_fast(const FlatSchedule& schedule,
-                            QueueLoads& out) const;
-  /// Shadow-prices `schedule` exactly and records the deviation of
-  /// `fast` with the captured audit (hard error on violation).
-  void shadow_check(const FlatSchedule& schedule,
-                    const BatchEvaluation& fast) const;
-  /// Samples the tolerance audit: every sample_period-th bump of `tick`
-  /// shadow-prices `schedule` exactly and records the deviation from
-  /// `fast`. Hard-errors (throws) on a violation.
-  void maybe_audit(const FlatSchedule& schedule, const BatchEvaluation& fast,
-                   std::uint64_t& tick) const;
 
   std::vector<double> size_;   // t_i per batch slot
   std::vector<double> rate_;   // P_j
@@ -260,15 +165,7 @@ class ScheduleEvaluator {
   std::vector<double> comm_;   // Γc_j (zeroed when use_comm == false)
   std::vector<double> cost_;   // cost_[j*N + slot]: per-processor panes
   double psi_ = 0.0;
-  NumericMode mode_ = NumericMode::kExact;
-  bool gather_shape_ = false;        // see gather_shape()
-  ToleranceAudit* audit_ = nullptr;  // captured at construction (kFast)
 };
-
-/// Mean slots-per-queue (N/M) at which kFast switches from the fused
-/// scalar walk to SIMD gather pricing — below this the gather setup cost
-/// dominates ~4-slot queues (see ScheduleEvaluator::gather_shape()).
-inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 
 /// Caller-owned, reusable evaluation scratch: the flat decode target plus
 /// the per-queue load cache the delta-pricing paths maintain. One
@@ -277,20 +174,12 @@ inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
-  /// Batched fast-path lanes (ScheduleProblem::evaluate_batch under
-  /// kFast): B decoded schedules and B contiguous M-double completion
-  /// lanes priced per population block, plus their reduced metrics.
-  /// Reused across generations — capacity grows to the largest dirty
-  /// block once, then steady-state evaluation allocates nothing.
-  std::vector<FlatSchedule> lane_schedule;
-  std::vector<double> lane_completion;
-  std::vector<BatchEvaluation> lane_eval;
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.
-/// The workspace path (evaluate/improve) decodes into a reused
-/// FlatSchedule — no per-call containers; fitness()/objective() remain as
-/// allocating convenience adapters for one-off callers.
+/// Every path decodes into a reused FlatSchedule — no per-call
+/// containers once the workspace has grown; fitness()/objective() price
+/// through evaluate() with a throwaway workspace.
 class ScheduleProblem final : public ga::GaProblem {
  public:
   /// Both references must outlive the problem. `rebalance_probes` bounds
@@ -298,19 +187,13 @@ class ScheduleProblem final : public ga::GaProblem {
   ScheduleProblem(const ScheduleCodec& codec, const ScheduleEvaluator& eval,
                   std::size_t rebalance_probes = 5);
 
+  /// evaluate(c, nullptr).fitness.
   double fitness(const ga::Chromosome& c) const override;
+  /// evaluate(c, nullptr).objective (the makespan).
   double objective(const ga::Chromosome& c) const override;
   /// One decode, both metrics; allocation-free with a non-null workspace.
   Evaluation evaluate(const ga::Chromosome& c,
                       Workspace* ws) const override;
-  /// Population-block evaluation. Under kExact this is the base-class
-  /// loop (bit-identical to per-individual evaluate()); under kFast the
-  /// block decodes into reused workspace lanes, prices every queue with
-  /// the SIMD kernels, then reduces lane by lane — the batched
-  /// multi-chromosome fast path.
-  void evaluate_batch(std::span<const ga::Chromosome> pop,
-                      std::span<const std::size_t> indices, Workspace* ws,
-                      Evaluation* out) const override;
   std::unique_ptr<Workspace> make_workspace() const override;
   /// The paper's re-balancing heuristic (§3.5); see core/rebalance.hpp.
   /// Returns true when a fitter schedule was found and applied.

@@ -57,13 +57,6 @@ void list_schedule_flat(const ScheduleEvaluator& eval, double random_fraction,
   out.assign_ordered(sc.order, sc.slot_proc, M);
 }
 
-ProcQueues list_schedule(const ScheduleEvaluator& eval, double random_fraction,
-                         util::Rng& rng) {
-  FlatSchedule flat;
-  list_schedule_flat(eval, random_fraction, rng, flat);
-  return flat.to_queues();
-}
-
 std::vector<ga::Chromosome> initial_population(const ScheduleCodec& codec,
                                                const ScheduleEvaluator& eval,
                                                std::size_t count,

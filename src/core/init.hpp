@@ -21,11 +21,6 @@ namespace gasched::core {
 void list_schedule_flat(const ScheduleEvaluator& eval, double random_fraction,
                         util::Rng& rng, FlatSchedule& out);
 
-/// Legacy adapter: the same schedule (same RNG stream, same queue
-/// contents and order) materialised as per-processor queues.
-ProcQueues list_schedule(const ScheduleEvaluator& eval, double random_fraction,
-                         util::Rng& rng);
-
 /// Builds `count` independent list schedules encoded as chromosomes.
 std::vector<ga::Chromosome> initial_population(const ScheduleCodec& codec,
                                                const ScheduleEvaluator& eval,

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/kernels.hpp"
-
 #include "exp/registry.hpp"
 
 namespace gasched::exp {
@@ -93,33 +91,6 @@ metrics::RelaxationBoundOptions bounds_from_config(const util::Config& cfg) {
       "bounds.max_iterations",
       static_cast<std::int64_t>(opts.max_iterations)));
   return opts;
-}
-
-EvalConfig eval_config_from_config(const util::Config& cfg) {
-  EvalConfig eval;
-  eval.numeric_mode = cfg.get("eval.numeric_mode", "");
-  if (!eval.numeric_mode.empty()) {
-    core::parse_numeric_mode(eval.numeric_mode);  // validate early
-  }
-  eval.audit.tolerance =
-      cfg.get_double("eval.tolerance", eval.audit.tolerance);
-  eval.audit.sample_period = static_cast<std::size_t>(cfg.get_int(
-      "eval.audit_sample_period",
-      static_cast<std::int64_t>(eval.audit.sample_period)));
-  return eval;
-}
-
-void apply_eval_config(const EvalConfig& eval) {
-  if (!eval.numeric_mode.empty()) {
-    core::set_default_numeric_mode(core::parse_numeric_mode(eval.numeric_mode));
-  }
-  if (core::default_numeric_mode() == core::NumericMode::kFast) {
-    // Resolve the kernel ISA now: a bad GASCHED_KERNEL_ISA override
-    // surfaces here as a clean config-time error instead of throwing
-    // from the first pricing call on a pool worker mid-sweep.
-    core::kernels::active_isa();
-  }
-  core::ToleranceAudit::global().configure(eval.audit);
 }
 
 namespace {

@@ -3,7 +3,6 @@
 // defined, shared, and replayed without recompiling. See
 // examples/scenario_example.ini for the full key reference.
 
-#include "core/numeric.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/bounds.hpp"
@@ -49,31 +48,6 @@ SchedulerParams scheduler_params_from_config(const util::Config& cfg);
 /// certified-bound report — while RelaxationBoundOptions{} defaults to
 /// true for direct API callers. See docs/bounds.md.
 metrics::RelaxationBoundOptions bounds_from_config(const util::Config& cfg);
-
-/// The [eval] section: process-wide numeric-mode selection for the
-/// schedule evaluators (core/numeric.hpp).
-///
-///   [eval]  numeric_mode ("" = leave current default: the
-///           GASCHED_NUMERIC_MODE environment override if set, else
-///           exact; "exact" and "fast" pin explicitly — INI beats env),
-///           tolerance (1e-12), audit_sample_period (64)
-///
-/// `tolerance` and `audit_sample_period` configure the fast-mode
-/// tolerance audit; both are ignored in exact mode.
-struct EvalConfig {
-  /// Empty = keep the process default (env override or exact).
-  std::string numeric_mode;
-  core::AuditConfig audit;
-};
-
-/// Reads the [eval] section. Throws std::runtime_error on an unknown
-/// numeric_mode value (listing the legal ones).
-EvalConfig eval_config_from_config(const util::Config& cfg);
-
-/// Applies an EvalConfig process-wide: sets the default numeric mode
-/// (when `numeric_mode` is non-empty) and configures the global
-/// ToleranceAudit. Call once at startup, before evaluators exist.
-void apply_eval_config(const EvalConfig& eval);
 
 /// Expands a scheduler selector into canonical registry names: a
 /// comma-separated mix of registry names and the tag words `paper`,

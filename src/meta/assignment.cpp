@@ -7,35 +7,6 @@
 namespace gasched::meta {
 
 LoadTracker::LoadTracker(const core::ScheduleEvaluator& eval,
-                         core::ProcQueues queues)
-    : eval_(&eval) {
-  const std::size_t M = eval.num_procs();
-  const std::size_t N = eval.num_tasks();
-  if (queues.size() != M) {
-    throw std::invalid_argument("LoadTracker: queue count != processor count");
-  }
-  slot_proc_.assign(N, M);  // M = unassigned sentinel
-  completion_.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    completion_[j] = eval.delta(j);
-    for (const std::size_t slot : queues[j]) {
-      if (slot >= N || slot_proc_[slot] != M) {
-        throw std::invalid_argument(
-            "LoadTracker: queues must cover each slot exactly once");
-      }
-      slot_proc_[slot] = j;
-      completion_[j] += eval.task_cost_on(slot, j);
-    }
-  }
-  for (std::size_t s = 0; s < N; ++s) {
-    if (slot_proc_[s] == M) {
-      throw std::invalid_argument("LoadTracker: slot missing from queues");
-    }
-  }
-  rescan_top2();
-}
-
-LoadTracker::LoadTracker(const core::ScheduleEvaluator& eval,
                          const core::FlatSchedule& schedule)
     : eval_(&eval) {
   reset(eval, schedule);
@@ -183,14 +154,6 @@ Move LoadTracker::random_move(util::Rng& rng) const {
   m.to = rng.index(M - 1);
   if (m.to >= m.from) ++m.to;  // uniform over the other M-1 processors
   return m;
-}
-
-core::ProcQueues LoadTracker::to_queues() const {
-  core::ProcQueues q(num_procs());
-  for (std::size_t s = 0; s < slot_proc_.size(); ++s) {
-    q[slot_proc_[s]].push_back(s);
-  }
-  return q;
 }
 
 }  // namespace gasched::meta

@@ -53,8 +53,7 @@ void SimulatedAnnealingScheduler::search(const core::ScheduleEvaluator& eval,
           : std::max<std::size_t>(64, 4 * state.num_tasks());
 
   // Best-so-far as a flat slot → processor snapshot: an O(N) copy into a
-  // reused buffer instead of materialising per-processor queues on every
-  // improvement (the old to_queues() hot-loop allocation).
+  // reused buffer instead of materialising queues on every improvement.
   std::vector<std::size_t> best(state.assignment().begin(),
                                 state.assignment().end());
   double best_makespan = state.makespan();

@@ -109,7 +109,7 @@ struct RuntimeResult {
 enum class RoutePolicy {
   kRoundRobin,    ///< "rr": cyclic, skipping workers with a full inbox
   kLeastLoaded,   ///< "least_loaded": fewest pending MFLOPs
-  kFastestDrain,  ///< "fastest": smallest pending/rate drain time
+  kEarliestDrain, ///< "fastest": smallest pending/rate drain time
 };
 
 /// Parses a routing-policy name. Throws std::runtime_error listing the

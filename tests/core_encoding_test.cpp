@@ -4,10 +4,33 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace gasched::core {
 namespace {
+
+FlatSchedule flat(const ProcQueues& queues) {
+  FlatSchedule s;
+  s.assign(queues);
+  return s;
+}
+
+FlatSchedule decoded(const ScheduleCodec& codec, const ga::Chromosome& c) {
+  FlatSchedule s;
+  codec.decode_into(c, s);
+  return s;
+}
+
+ProcQueues queues_of(const FlatSchedule& s) {
+  ProcQueues q(s.num_procs());
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    q[j].assign(s.queue(j).begin(), s.queue(j).end());
+  }
+  return q;
+}
 
 TEST(Codec, ChromosomeLengthIsHPlusMMinusOne) {
   EXPECT_EQ(ScheduleCodec(10, 4).chromosome_length(), 13u);
@@ -21,18 +44,17 @@ TEST(Codec, RejectsZeroProcessors) {
 
 TEST(Codec, EncodeDecodeRoundTrip) {
   const ScheduleCodec codec(6, 3);
-  const ProcQueues queues{{0, 3}, {1, 4, 5}, {2}};
+  const FlatSchedule queues = flat({{0, 3}, {1, 4, 5}, {2}});
   const ga::Chromosome c = codec.encode(queues);
   EXPECT_EQ(c.size(), codec.chromosome_length());
   EXPECT_TRUE(codec.valid(c));
-  EXPECT_EQ(codec.decode(c), queues);
+  EXPECT_EQ(decoded(codec, c), queues);
 }
 
 TEST(Codec, PaperFigureTwoShape) {
   // Fig 2 example: queues split by delimiters; verify layout precisely.
   const ScheduleCodec codec(4, 3);
-  const ProcQueues queues{{2, 0}, {}, {1, 3}};
-  const ga::Chromosome c = codec.encode(queues);
+  const ga::Chromosome c = codec.encode(flat({{2, 0}, {}, {1, 3}}));
   // P0: 2 0 | P1: (empty) | P2: 1 3  =>  [2, 0, d0, d1, 1, 3]
   const ga::Chromosome expected{2, 0, ScheduleCodec::delimiter_gene(0),
                                 ScheduleCodec::delimiter_gene(1), 1, 3};
@@ -41,29 +63,28 @@ TEST(Codec, PaperFigureTwoShape) {
 
 TEST(Codec, EmptyBatchEncodesOnlyDelimiters) {
   const ScheduleCodec codec(0, 4);
-  const ga::Chromosome c = codec.encode(ProcQueues(4));
+  const ga::Chromosome c = codec.encode(flat(ProcQueues(4)));
   EXPECT_EQ(c.size(), 3u);
   for (const auto g : c) EXPECT_TRUE(ScheduleCodec::is_delimiter(g));
 }
 
 TEST(Codec, SingleProcessorNoDelimiters) {
   const ScheduleCodec codec(3, 1);
-  const ProcQueues queues{{2, 0, 1}};
+  const FlatSchedule queues = flat({{2, 0, 1}});
   const ga::Chromosome c = codec.encode(queues);
   EXPECT_EQ(c, (ga::Chromosome{2, 0, 1}));
-  EXPECT_EQ(codec.decode(c), queues);
+  EXPECT_EQ(decoded(codec, c), queues);
 }
 
 TEST(Codec, EncodeRejectsBadQueues) {
   const ScheduleCodec codec(4, 2);
-  EXPECT_THROW(codec.encode(ProcQueues{{0, 1}}), std::invalid_argument);
+  EXPECT_THROW(codec.encode(flat({{0, 1}})), std::invalid_argument);
   // Slot out of range.
-  EXPECT_THROW(codec.encode(ProcQueues{{0, 9}, {1, 2}}),
-               std::invalid_argument);
+  EXPECT_THROW(codec.encode(flat({{0, 9}, {1, 2}})), std::invalid_argument);
   // Missing a task.
-  EXPECT_THROW(codec.encode(ProcQueues{{0}, {1, 2}}), std::invalid_argument);
+  EXPECT_THROW(codec.encode(flat({{0}, {1, 2}})), std::invalid_argument);
   // Duplicate task (length exceeds H+M-1).
-  EXPECT_THROW(codec.encode(ProcQueues{{0, 0}, {1, 2, 3}}),
+  EXPECT_THROW(codec.encode(flat({{0, 0}, {1, 2, 3}})),
                std::invalid_argument);
 }
 
@@ -78,12 +99,10 @@ TEST(Codec, DecodeAnyPermutationAssignsEveryTaskOnce) {
   for (int trial = 0; trial < 100; ++trial) {
     rng.shuffle(c);
     ASSERT_TRUE(codec.valid(c));
-    const ProcQueues q = codec.decode(c);
-    ASSERT_EQ(q.size(), 5u);
+    const FlatSchedule q = decoded(codec, c);
+    ASSERT_EQ(q.num_procs(), 5u);
     std::vector<int> seen(12, 0);
-    for (const auto& queue : q) {
-      for (const auto slot : queue) ++seen[slot];
-    }
+    for (const auto slot : q.slots()) ++seen[slot];
     for (const int s : seen) ASSERT_EQ(s, 1);
   }
 }
@@ -101,7 +120,17 @@ TEST(Codec, DecodeRejectsTooManyDelimiters) {
   const ScheduleCodec codec(2, 2);
   const ga::Chromosome c{0, ScheduleCodec::delimiter_gene(0),
                          ScheduleCodec::delimiter_gene(1), 1};
-  EXPECT_THROW(codec.decode(c), std::invalid_argument);
+  FlatSchedule out;
+  EXPECT_THROW(codec.decode_into(c, out), std::invalid_argument);
+}
+
+TEST(Codec, DecodeUsesDelimiterPositionNotLabel) {
+  // The k-th delimiter met ends queue k, whatever its label.
+  const ScheduleCodec codec(4, 3);
+  const ga::Chromosome c{2, ScheduleCodec::delimiter_gene(1), 0, 3,
+                         ScheduleCodec::delimiter_gene(0), 1};
+  ASSERT_TRUE(codec.valid(c));
+  EXPECT_EQ(queues_of(decoded(codec, c)), (ProcQueues{{2}, {0, 3}, {1}}));
 }
 
 TEST(Codec, DelimiterGenesAreDistinctNegatives) {
@@ -113,6 +142,83 @@ TEST(Codec, DelimiterGenesAreDistinctNegatives) {
       EXPECT_NE(g, ScheduleCodec::delimiter_gene(k2));
     }
   }
+}
+
+TEST(FlatSchedule, DefaultConstructedHasNoQueues) {
+  const FlatSchedule s;
+  EXPECT_EQ(s.num_procs(), 0u);
+  EXPECT_EQ(s.num_slots(), 0u);
+  EXPECT_TRUE(s.slots().empty());
+  EXPECT_EQ(s, FlatSchedule{});
+  // One empty queue is a schedule; no queues at all is not the same one.
+  EXPECT_FALSE(s == flat(ProcQueues(1)));
+}
+
+TEST(FlatSchedule, AssignKeepsQueueOrderAndEmptyQueues) {
+  const ProcQueues queues{{}, {3, 1}, {}, {0, 2}, {}};
+  const FlatSchedule s = flat(queues);
+  EXPECT_EQ(s.num_procs(), 5u);
+  EXPECT_EQ(s.num_slots(), 4u);
+  EXPECT_EQ(queues_of(s), queues);
+  EXPECT_EQ(std::vector<std::size_t>(s.slots().begin(), s.slots().end()),
+            (std::vector<std::size_t>{3, 1, 0, 2}));
+}
+
+TEST(FlatSchedule, AssignOrderedKeepsGivenOrderWithinQueues) {
+  const std::vector<std::size_t> slot_proc{1, 0, 1, 2, 0};
+  const std::vector<std::size_t> order{4, 2, 0, 3, 1};
+  FlatSchedule s;
+  s.assign_ordered(order, slot_proc, 4);
+  EXPECT_EQ(queues_of(s), (ProcQueues{{4, 1}, {2, 0}, {3}, {}}));
+  EXPECT_EQ(s.num_slots(), 5u);
+}
+
+TEST(FlatSchedule, AssignGroupedSortsSlotsAndKeepsEmptyQueues) {
+  const std::vector<std::size_t> slot_proc{2, 0, 2, 0, 1};
+  FlatSchedule s;
+  s.assign_grouped(slot_proc, 4);
+  EXPECT_EQ(queues_of(s), (ProcQueues{{1, 3}, {4}, {0, 2}, {}}));
+  // Grouped is ordered by ascending slot.
+  FlatSchedule ordered;
+  const std::vector<std::size_t> ascending{0, 1, 2, 3, 4};
+  ordered.assign_ordered(ascending, slot_proc, 4);
+  EXPECT_EQ(ordered, s);
+}
+
+TEST(FlatSchedule, RebuildingUsedBuffersMatchesFreshBuild) {
+  // Every builder rewrites the whole schedule: a larger earlier shape
+  // leaves nothing behind.
+  const ProcQueues big{{0, 5, 2}, {1}, {3, 4, 6}, {7}, {}};
+  const ProcQueues small{{1}, {0, 2}};
+  FlatSchedule s = flat(big);
+  s.assign(small);
+  EXPECT_EQ(s, flat(small));
+
+  const std::vector<std::size_t> slot_proc{1, 0, 1};
+  s = flat(big);
+  s.assign_grouped(slot_proc, 2);
+  EXPECT_EQ(s, flat(small));
+
+  s = flat(big);
+  const std::vector<std::size_t> order{1, 0, 2};
+  s.assign_ordered(order, slot_proc, 2);
+  EXPECT_EQ(s, flat(small));
+
+  const ScheduleCodec codec(3, 2);
+  s = flat(big);
+  codec.decode_into(codec.encode(flat(small)), s);
+  EXPECT_EQ(s, flat(small));
+}
+
+TEST(FlatSchedule, MutableQueueViewEditsSlotsInPlace) {
+  FlatSchedule s = flat({{0, 1}, {2, 3}});
+  std::swap(s.queue(0)[1], s.queue(1)[0]);
+  EXPECT_EQ(queues_of(s), (ProcQueues{{0, 2}, {1, 3}}));
+  EXPECT_EQ(std::vector<std::size_t>(s.slots().begin(), s.slots().end()),
+            (std::vector<std::size_t>{0, 2, 1, 3}));
+  const ScheduleCodec codec(4, 2);
+  EXPECT_EQ(codec.encode(s),
+            (ga::Chromosome{0, 2, ScheduleCodec::delimiter_gene(0), 1, 3}));
 }
 
 }  // namespace

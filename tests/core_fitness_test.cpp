@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace gasched::core {
 namespace {
 
@@ -21,6 +23,12 @@ sim::SystemView make_view(std::vector<double> rates,
     v.procs[j].comm_estimate = j < comm.size() ? comm[j] : 0.0;
   }
   return v;
+}
+
+FlatSchedule flat(const ProcQueues& queues) {
+  FlatSchedule s;
+  s.assign(queues);
+  return s;
 }
 
 TEST(Evaluator, PsiMatchesPaperFormula) {
@@ -54,7 +62,7 @@ TEST(Evaluator, PerfectBalanceHasZeroErrorAndFitnessOne) {
   // gives C_j = 10 = ψ exactly.
   const ScheduleEvaluator eval({100.0, 100.0}, make_view({10.0, 10.0}),
                                false);
-  const ProcQueues balanced{{0}, {1}};
+  const FlatSchedule balanced = flat({{0}, {1}});
   EXPECT_DOUBLE_EQ(eval.relative_error(balanced), 0.0);
   EXPECT_DOUBLE_EQ(eval.fitness(balanced), 1.0);
 }
@@ -62,8 +70,8 @@ TEST(Evaluator, PerfectBalanceHasZeroErrorAndFitnessOne) {
 TEST(Evaluator, ImbalanceIncreasesErrorAndLowersFitness) {
   const ScheduleEvaluator eval({100.0, 100.0}, make_view({10.0, 10.0}),
                                false);
-  const ProcQueues balanced{{0}, {1}};
-  const ProcQueues skewed{{0, 1}, {}};
+  const FlatSchedule balanced = flat({{0}, {1}});
+  const FlatSchedule skewed = flat({{0, 1}, {}});
   EXPECT_GT(eval.relative_error(skewed), eval.relative_error(balanced));
   EXPECT_LT(eval.fitness(skewed), eval.fitness(balanced));
 }
@@ -76,7 +84,7 @@ TEST(Evaluator, FitnessAlwaysInUnitInterval) {
   for (const ProcQueues& q :
        {ProcQueues{{0, 1, 2}, {}}, ProcQueues{{}, {0, 1, 2}},
         ProcQueues{{0}, {1, 2}}, ProcQueues{{2, 1}, {0}}}) {
-    const double f = eval.fitness(q);
+    const double f = eval.fitness(flat(q));
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }
@@ -85,7 +93,7 @@ TEST(Evaluator, FitnessAlwaysInUnitInterval) {
 TEST(Evaluator, MakespanIsMaxCompletion) {
   const ScheduleEvaluator eval({100.0, 300.0},
                                make_view({10.0, 10.0}), false);
-  const ProcQueues q{{0}, {1}};  // C = {10, 30}
+  const FlatSchedule q = flat({{0}, {1}});  // C = {10, 30}
   EXPECT_DOUBLE_EQ(eval.makespan(q), 30.0);
 }
 
@@ -95,8 +103,8 @@ TEST(Evaluator, CommAwareFitnessPrefersCheapLinks) {
   const ScheduleEvaluator eval({10.0, 10.0},
                                make_view({10.0, 10.0}, {}, {0.0, 20.0}),
                                true);
-  const ProcQueues cheap_only{{0, 1}, {}};
-  const ProcQueues split{{0}, {1}};
+  const FlatSchedule cheap_only = flat({{0, 1}, {}});
+  const FlatSchedule split = flat({{0}, {1}});
   // split: C = {1, 21}, ψ = 0.1 ... cheap: C = {2, 0}.
   EXPECT_LT(eval.relative_error(cheap_only), eval.relative_error(split));
 }
@@ -117,7 +125,7 @@ TEST(ScheduleProblem, AdapterMatchesEvaluatorThroughCodec) {
   const ScheduleEvaluator eval({10.0, 20.0, 30.0},
                                make_view({10.0, 10.0}), false);
   const ScheduleProblem problem(codec, eval);
-  const ProcQueues q{{0, 2}, {1}};
+  const FlatSchedule q = flat({{0, 2}, {1}});
   const ga::Chromosome c = codec.encode(q);
   EXPECT_DOUBLE_EQ(problem.fitness(c), eval.fitness(q));
   EXPECT_DOUBLE_EQ(problem.objective(c), eval.makespan(q));
@@ -128,8 +136,39 @@ TEST(Evaluator, HeterogeneousRatesFavourFastProcessor) {
   // 10 Mflop/s one in 40 s; schedules using the fast one have lower
   // makespan.
   const ScheduleEvaluator eval({400.0}, make_view({10.0, 40.0}), false);
-  EXPECT_DOUBLE_EQ(eval.makespan({{ }, {0}}), 10.0);
-  EXPECT_DOUBLE_EQ(eval.makespan({{0}, { }}), 40.0);
+  EXPECT_DOUBLE_EQ(eval.makespan(flat({{ }, {0}})), 10.0);
+  EXPECT_DOUBLE_EQ(eval.makespan(flat({{0}, { }})), 40.0);
+}
+
+TEST(Evaluator, SingleProcessorMatchesHandComputedMetrics) {
+  // One proc at 10 Mflop/s with 50 MFLOPs pending (δ = 5), comm 2.
+  // ψ = 300/10 + 5 = 35.
+  const auto view = make_view({10.0}, {50.0}, {2.0});
+  const FlatSchedule both = flat({{1, 0}});
+  // Comm-free: C_0 = 5 + 20 + 10 = 35 = ψ, so E = 0 and F = 1.
+  const ScheduleEvaluator zo({100.0, 200.0}, view, false);
+  EXPECT_DOUBLE_EQ(zo.psi(), 35.0);
+  EXPECT_DOUBLE_EQ(zo.makespan(both), 35.0);
+  EXPECT_DOUBLE_EQ(zo.relative_error(both), 0.0);
+  EXPECT_DOUBLE_EQ(zo.fitness(both), 1.0);
+  // With comm each dispatch adds 2: C_0 = 39, E = 4, F = 1/4.
+  const ScheduleEvaluator pn({100.0, 200.0}, view, true);
+  const BatchEvaluation e = pn.evaluate(both);
+  EXPECT_DOUBLE_EQ(e.makespan, 39.0);
+  EXPECT_DOUBLE_EQ(e.relative_error, 4.0);
+  EXPECT_DOUBLE_EQ(e.fitness, 0.25);
+}
+
+TEST(Evaluator, EmptyBatchPricesDrainTimesOnly) {
+  // No tasks: ψ = Σ_j δ_j = 10 + 2 = 12 and C_j = δ_j = {10, 2}, so
+  // E = sqrt(2² + 10²) and the makespan is the longest drain.
+  const ScheduleEvaluator eval({}, make_view({10.0, 20.0}, {100.0, 40.0}),
+                               false);
+  EXPECT_DOUBLE_EQ(eval.psi(), 12.0);
+  const BatchEvaluation e = eval.evaluate(flat(ProcQueues(2)));
+  EXPECT_DOUBLE_EQ(e.makespan, 10.0);
+  EXPECT_DOUBLE_EQ(e.relative_error, std::sqrt(104.0));
+  EXPECT_DOUBLE_EQ(e.fitness, 1.0 / std::sqrt(104.0));
 }
 
 }  // namespace

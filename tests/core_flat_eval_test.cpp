@@ -1,30 +1,26 @@
 // Equivalence tests for the flat evaluation core: decode into a
-// FlatSchedule and the span-based evaluator overloads must be
-// bit-identical to the legacy ProcQueues path across randomized batches —
-// the contract that keeps every golden value and figure CSV byte-stable
-// across the zero-allocation refactor.
+// FlatSchedule, the fused decode+price walk, the cached and delta pricing
+// paths, the single-metric overloads and the engine's batch entry must
+// agree bit for bit with each other and with naive references across
+// randomized batches — the contract that keeps every golden value and
+// figure CSV byte-stable.
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/encoding.hpp"
 #include "core/fitness.hpp"
 #include "core/init.hpp"
+#include "core/numeric.hpp"
 #include "core/rebalance.hpp"
 #include "meta/assignment.hpp"
 #include "util/rng.hpp"
 
 namespace gasched::core {
 namespace {
-
-// Every identity here asserts the canonical (exact-mode) bitwise
-// contract; pin the process default so a GASCHED_NUMERIC_MODE=fast CI
-// run cannot switch the default-constructed evaluators to the SIMD path
-// (whose results are tolerance-bounded, not bit-pinned).
-const struct PinExactMode {
-  PinExactMode() { set_default_numeric_mode(NumericMode::kExact); }
-} pin_exact_mode;
 
 sim::SystemView random_view(std::size_t procs, util::Rng& rng) {
   sim::SystemView v;
@@ -59,7 +55,63 @@ ga::Chromosome random_chromosome(const ScheduleCodec& codec, util::Rng& rng) {
   return c;
 }
 
-TEST(FlatEval, DecodeIntoMatchesLegacyDecodeRandomized) {
+/// Literal per-processor queues of a flat schedule.
+ProcQueues queues_of(const FlatSchedule& flat) {
+  ProcQueues q(flat.num_procs());
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    q[j].assign(flat.queue(j).begin(), flat.queue(j).end());
+  }
+  return q;
+}
+
+/// Naive decode: the k-th delimiter position ends queue k.
+ProcQueues reference_decode(const ScheduleCodec& codec,
+                            const ga::Chromosome& c) {
+  ProcQueues q(codec.num_procs());
+  std::size_t proc = 0;
+  for (const ga::Gene g : c) {
+    if (ScheduleCodec::is_delimiter(g)) {
+      ++proc;
+    } else {
+      q[proc].push_back(ScheduleCodec::task_slot(g));
+    }
+  }
+  return q;
+}
+
+/// The list scheduler written out with per-processor queues, as it was
+/// before the flat builders: visit the slots in a shuffled order, place
+/// each on a random processor with probability `frac` and otherwise on
+/// the one that finishes it earliest (defining expression, first index
+/// on ties), and append it to that queue.
+ProcQueues reference_list_schedule(const ScheduleEvaluator& eval, double frac,
+                                   util::Rng& rng) {
+  const std::size_t procs = eval.num_procs();
+  std::vector<double> finish(procs);
+  for (std::size_t j = 0; j < procs; ++j) finish[j] = eval.delta(j);
+  std::vector<std::size_t> order(eval.num_tasks());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  const auto cost = [&](std::size_t slot, std::size_t j) {
+    return eval.task_size(slot) / eval.rate(j) + eval.comm(j);
+  };
+  ProcQueues q(procs);
+  for (const std::size_t slot : order) {
+    std::size_t j = 0;
+    if (rng.bernoulli(frac)) {
+      j = rng.index(procs);
+    } else {
+      for (std::size_t k = 1; k < procs; ++k) {
+        if (finish[k] + cost(slot, k) < finish[j] + cost(slot, j)) j = k;
+      }
+    }
+    q[j].push_back(slot);
+    finish[j] += cost(slot, j);
+  }
+  return q;
+}
+
+TEST(FlatEval, DecodeIntoMatchesReferenceDecodeRandomized) {
   util::Rng rng(101);
   FlatSchedule flat;
   for (int round = 0; round < 50; ++round) {
@@ -68,15 +120,14 @@ TEST(FlatEval, DecodeIntoMatchesLegacyDecodeRandomized) {
     const ScheduleCodec codec(tasks, procs);
     const ga::Chromosome c = random_chromosome(codec, rng);
 
-    const ProcQueues legacy = codec.decode(c);
     codec.decode_into(c, flat);  // reused across rounds on purpose
     ASSERT_EQ(flat.num_procs(), procs);
     ASSERT_EQ(flat.num_slots(), tasks);
-    EXPECT_EQ(flat.to_queues(), legacy);
+    EXPECT_EQ(queues_of(flat), reference_decode(codec, c));
   }
 }
 
-TEST(FlatEval, EvaluatorOverloadsBitIdenticalToProcQueuesPath) {
+TEST(FlatEval, EvaluateBitIdenticalToSingleMetricOverloads) {
   util::Rng rng(202);
   FlatSchedule flat;
   for (int round = 0; round < 50; ++round) {
@@ -86,57 +137,67 @@ TEST(FlatEval, EvaluatorOverloadsBitIdenticalToProcQueuesPath) {
     const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                  random_view(procs, rng),
                                  /*use_comm=*/rng.bernoulli(0.5));
-    const ga::Chromosome c = random_chromosome(codec, rng);
-    const ProcQueues legacy = codec.decode(c);
-    codec.decode_into(c, flat);
+    codec.decode_into(random_chromosome(codec, rng), flat);
 
+    // C_j is δ_j plus the queue's per-slot costs, summed left to right.
     for (std::size_t j = 0; j < procs; ++j) {
-      EXPECT_EQ(eval.completion_time(j, flat.queue(j)),
-                eval.completion_time(j, legacy[j]));
+      double cj = eval.delta(j);
+      for (const std::size_t slot : flat.queue(j)) {
+        cj += eval.task_size(slot) / eval.rate(j) + eval.comm(j);
+      }
+      EXPECT_EQ(eval.completion_time(j, flat.queue(j)), cj);
     }
-    EXPECT_EQ(eval.makespan(flat), eval.makespan(legacy));
-    EXPECT_EQ(eval.relative_error(flat), eval.relative_error(legacy));
-    EXPECT_EQ(eval.fitness(flat), eval.fitness(legacy));
 
     const BatchEvaluation combined = eval.evaluate(flat);
-    EXPECT_EQ(combined.fitness, eval.fitness(legacy));
-    EXPECT_EQ(combined.makespan, eval.makespan(legacy));
-    EXPECT_EQ(combined.relative_error, eval.relative_error(legacy));
+    EXPECT_EQ(combined.fitness, eval.fitness(flat));
+    EXPECT_EQ(combined.makespan, eval.makespan(flat));
+    EXPECT_EQ(combined.relative_error, eval.relative_error(flat));
   }
 }
 
-TEST(FlatEval, ScheduleProblemEvaluateMatchesLegacyAdapters) {
+TEST(FlatEval, ScheduleProblemFitnessAndObjectiveMatchEvaluateFuzzed) {
   util::Rng rng(303);
-  const std::size_t tasks = 30, procs = 6;
-  const ScheduleCodec codec(tasks, procs);
-  const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                               random_view(procs, rng), true);
-  const ScheduleProblem problem(codec, eval);
-  const auto ws = problem.make_workspace();
-  ASSERT_NE(ws, nullptr);
-  for (int round = 0; round < 20; ++round) {
+  FlatSchedule flat;
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t tasks = 1 + rng.index(50);
+    const std::size_t procs = 1 + rng.index(10);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), rng.bernoulli(0.5));
+    const ScheduleProblem problem(codec, eval);
+    const auto ws = problem.make_workspace();
+    ASSERT_NE(ws, nullptr);
     const ga::Chromosome c = random_chromosome(codec, rng);
     const auto e = problem.evaluate(c, ws.get());
-    EXPECT_EQ(e.fitness, problem.fitness(c));
-    EXPECT_EQ(e.objective, problem.objective(c));
+    ASSERT_EQ(problem.fitness(c), e.fitness);
+    ASSERT_EQ(problem.objective(c), e.objective);
     // Null workspace falls back to a throwaway one — same values.
     const auto e0 = problem.evaluate(c, nullptr);
-    EXPECT_EQ(e0.fitness, e.fitness);
-    EXPECT_EQ(e0.objective, e.objective);
+    ASSERT_EQ(e0.fitness, e.fitness);
+    ASSERT_EQ(e0.objective, e.objective);
+    // And both are the evaluator's metrics of the decoded schedule.
+    codec.decode_into(c, flat);
+    ASSERT_EQ(e.fitness, eval.fitness(flat));
+    ASSERT_EQ(e.objective, eval.makespan(flat));
   }
 }
 
-TEST(FlatEval, EncodeFlatMatchesEncodeQueues) {
+TEST(FlatEval, EncodeInvertsDecodeInto) {
   util::Rng rng(404);
   FlatSchedule flat;
   for (int round = 0; round < 20; ++round) {
     const std::size_t tasks = 1 + rng.index(30);
     const std::size_t procs = 1 + rng.index(8);
     const ScheduleCodec codec(tasks, procs);
-    const ga::Chromosome c = random_chromosome(codec, rng);
-    const ProcQueues q = codec.decode(c);
+    ga::Chromosome c = random_chromosome(codec, rng);
     codec.decode_into(c, flat);
-    EXPECT_EQ(codec.encode(flat), codec.encode(q));
+    // Delimiters may sit in any order in `c`; encode writes them
+    // ascending, so compare after canonicalising c's delimiter labels.
+    std::size_t k = 0;
+    for (ga::Gene& g : c) {
+      if (ScheduleCodec::is_delimiter(g)) g = ScheduleCodec::delimiter_gene(k++);
+    }
+    EXPECT_EQ(codec.encode(flat), c);
   }
 }
 
@@ -148,18 +209,23 @@ TEST(FlatEval, AssignRoundTripsAndGroupedMatchesLoadTracker) {
   FlatSchedule flat;
   list_schedule_flat(eval, 0.5, rng, flat);
 
-  // assign()/to_queues() round trip.
+  // assign() of a schedule's own queues round-trips.
   FlatSchedule copy;
-  copy.assign(flat.to_queues());
+  copy.assign(queues_of(flat));
   EXPECT_EQ(copy, flat);
 
-  // assign_grouped reproduces LoadTracker::to_queues (ascending slots).
+  // assign_grouped groups the tracker's slot → processor map with slots
+  // ascending inside each queue.
   const meta::LoadTracker tracker(eval, flat);
   FlatSchedule grouped;
   grouped.assign_grouped(tracker.assignment(), procs);
-  EXPECT_EQ(grouped.to_queues(), tracker.to_queues());
+  ProcQueues ascending(procs);
+  for (std::size_t s = 0; s < tasks; ++s) {
+    ascending[tracker.proc_of(s)].push_back(s);
+  }
+  EXPECT_EQ(queues_of(grouped), ascending);
 
-  // export_schedule is the same thing without the adapter.
+  // export_schedule is the same grouping.
   FlatSchedule exported;
   tracker.export_schedule(exported);
   EXPECT_EQ(exported, grouped);
@@ -174,8 +240,7 @@ TEST(FlatEval, ListScheduleFlatMatchesLegacyListSchedule) {
     util::Rng ra(77), rb(77);
     FlatSchedule flat;
     list_schedule_flat(eval, frac, ra, flat);
-    const ProcQueues legacy = list_schedule(eval, frac, rb);
-    EXPECT_EQ(flat.to_queues(), legacy);
+    EXPECT_EQ(queues_of(flat), reference_list_schedule(eval, frac, rb));
     // Identical RNG consumption: the streams agree afterwards.
     EXPECT_EQ(ra.next_u64(), rb.next_u64());
   }
@@ -199,20 +264,17 @@ TEST(FlatEval, RebalanceWithWorkspaceMatchesConvenienceOverload) {
   }
 }
 
-TEST(FlatEval, LoadTrackerFlatConstructorMatchesQueueConstructor) {
+TEST(FlatEval, LoadTrackerFlatConstructorMatchesEvaluator) {
   util::Rng rng(808);
   const std::size_t tasks = 18, procs = 4;
   const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                random_view(procs, rng), true);
   FlatSchedule flat;
   list_schedule_flat(eval, 0.3, rng, flat);
-  const meta::LoadTracker from_flat(eval, flat);
-  const meta::LoadTracker from_queues(eval, flat.to_queues());
+  const meta::LoadTracker tracker(eval, flat);
   for (std::size_t j = 0; j < procs; ++j) {
-    EXPECT_EQ(from_flat.completion(j), from_queues.completion(j));
-  }
-  for (std::size_t s = 0; s < tasks; ++s) {
-    EXPECT_EQ(from_flat.proc_of(s), from_queues.proc_of(s));
+    EXPECT_EQ(tracker.completion(j), eval.completion_time(j, flat.queue(j)));
+    for (const std::size_t s : flat.queue(j)) EXPECT_EQ(tracker.proc_of(s), j);
   }
 }
 
@@ -255,7 +317,7 @@ TEST(FlatEval, LoadMatchesEvaluateAndCachesQueueState) {
   }
 }
 
-TEST(FlatEval, LoadDecodedMatchesDecodeIntoPlusLoad) {
+TEST(FlatEval, LoadDecodedMatchesDecodeIntoPlusLoadAndEvaluate) {
   util::Rng rng(1010);
   FlatSchedule fused, staged;
   QueueLoads fused_loads, staged_loads;
@@ -275,6 +337,11 @@ TEST(FlatEval, LoadDecodedMatchesDecodeIntoPlusLoad) {
     EXPECT_EQ(a.fitness, b.fitness);
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.relative_error, b.relative_error);
+    // The stateless single pass prices the same doubles.
+    const BatchEvaluation stateless = eval.evaluate(staged);
+    EXPECT_EQ(a.fitness, stateless.fitness);
+    EXPECT_EQ(a.makespan, stateless.makespan);
+    EXPECT_EQ(a.relative_error, stateless.relative_error);
     EXPECT_EQ(fused_loads.completion, staged_loads.completion);
     EXPECT_EQ(fused_loads.dev_sq, staged_loads.dev_sq);
     EXPECT_EQ(fused_loads.sum_sq, staged_loads.sum_sq);
@@ -332,7 +399,7 @@ TEST(FlatEval, EvaluateMoveBitIdenticalToFullReprice) {
     const ScheduleCodec codec(tasks, procs);
     const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                  random_view(procs, rng), rng.bernoulli(0.5));
-    ProcQueues queues = codec.decode(random_chromosome(codec, rng));
+    ProcQueues queues = reference_decode(codec, random_chromosome(codec, rng));
     flat.assign(queues);
     eval.load(flat, delta_loads);
 
@@ -361,6 +428,35 @@ TEST(FlatEval, EvaluateMoveBitIdenticalToFullReprice) {
   }
 }
 
+TEST(FlatEval, EmptyBatchPricesIdenticallyOnEveryPath) {
+  util::Rng rng(1414);
+  for (const std::size_t procs : {std::size_t{1}, std::size_t{5}}) {
+    const ScheduleCodec codec(0, procs);
+    const ScheduleEvaluator eval({}, random_view(procs, rng), true);
+    const ga::Chromosome c = random_chromosome(codec, rng);  // delimiters only
+
+    FlatSchedule fused, staged;
+    QueueLoads fused_loads, staged_loads;
+    const BatchEvaluation a = eval.load_decoded(codec, c, fused, fused_loads);
+    codec.decode_into(c, staged);
+    ASSERT_EQ(staged.num_procs(), procs);
+    ASSERT_EQ(staged.num_slots(), 0u);
+    EXPECT_EQ(fused, staged);
+    const BatchEvaluation b = eval.load(staged, staged_loads);
+    const BatchEvaluation stateless = eval.evaluate(staged);
+    EXPECT_EQ(a.fitness, stateless.fitness);
+    EXPECT_EQ(a.makespan, stateless.makespan);
+    EXPECT_EQ(a.relative_error, stateless.relative_error);
+    EXPECT_EQ(b.fitness, stateless.fitness);
+    EXPECT_EQ(b.makespan, stateless.makespan);
+    EXPECT_EQ(b.relative_error, stateless.relative_error);
+    // Every queue is empty, so every C_j is the drain time δ_j.
+    for (std::size_t j = 0; j < procs; ++j) {
+      EXPECT_EQ(staged_loads.completion[j], eval.delta(j));
+    }
+  }
+}
+
 TEST(FlatEval, CostTableServesDefiningExpression) {
   util::Rng rng(1313);
   const std::size_t tasks = 20, procs = 6;
@@ -380,26 +476,6 @@ TEST(FlatEval, CostTableServesDefiningExpression) {
   }
 }
 
-TEST(FlatEval, BulkKernelMatchesCanonicalWithinUlps) {
-  util::Rng rng(1414);
-  FlatSchedule flat;
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t tasks = 1 + rng.index(60);
-    const std::size_t procs = 1 + rng.index(10);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    codec.decode_into(random_chromosome(codec, rng), flat);
-    for (std::size_t j = 0; j < procs; ++j) {
-      // Sum-then-divide re-associates the FP reduction: mathematically
-      // equal, near-equal in doubles, deliberately NOT bit-identical.
-      EXPECT_NEAR(eval.completion_time_bulk(j, flat.queue(j)),
-                  eval.completion_time(j, flat.queue(j)),
-                  1e-9 * (1.0 + eval.completion_time(j, flat.queue(j))));
-    }
-  }
-}
-
 TEST(FlatEval, DecodeIntoRejectsTooManyDelimiters) {
   const ScheduleCodec codec(2, 2);
   FlatSchedule flat;
@@ -409,6 +485,143 @@ TEST(FlatEval, DecodeIntoRejectsTooManyDelimiters) {
                            ScheduleCodec::delimiter_gene(0),
                            ScheduleCodec::task_gene(1)};
   EXPECT_THROW(codec.decode_into(bad, flat), std::invalid_argument);
+}
+
+TEST(FlatEval, LoadDecodedRejectsTooManyDelimiters) {
+  util::Rng rng(1515);
+  const ScheduleCodec codec(2, 2);
+  const ScheduleEvaluator eval(random_sizes(2, rng), random_view(2, rng),
+                               true);
+  FlatSchedule flat;
+  QueueLoads loads;
+  // The fused walk decodes on its own, so it must refuse the same input.
+  const ga::Chromosome bad{ScheduleCodec::task_gene(0),
+                           ScheduleCodec::delimiter_gene(0),
+                           ScheduleCodec::delimiter_gene(0),
+                           ScheduleCodec::task_gene(1)};
+  EXPECT_THROW(eval.load_decoded(codec, bad, flat, loads),
+               std::invalid_argument);
+}
+
+// --- exact numeric mode -----------------------------------------------------
+
+TEST(NumericMode, DefaultIsExactAndNamedExact) {
+  EXPECT_EQ(default_numeric_mode(), NumericMode::kExact);
+  EXPECT_STREQ(numeric_mode_name(NumericMode::kExact), "exact");
+  EXPECT_EQ(ga::GaConfig{}.numeric_mode, NumericMode::kExact);
+
+  // Naming the mode explicitly prices exactly like leaving it defaulted.
+  util::Rng rng(1616);
+  const std::size_t tasks = 30, procs = 6;
+  const ScheduleCodec codec(tasks, procs);
+  const std::vector<double> sizes = random_sizes(tasks, rng);
+  const sim::SystemView view = random_view(procs, rng);
+  const ScheduleEvaluator defaulted(sizes, view, true);
+  const ScheduleEvaluator named(sizes, view, true, NumericMode::kExact);
+  FlatSchedule flat;
+  for (int round = 0; round < 10; ++round) {
+    codec.decode_into(random_chromosome(codec, rng), flat);
+    const BatchEvaluation a = defaulted.evaluate(flat);
+    const BatchEvaluation b = named.evaluate(flat);
+    EXPECT_EQ(a.fitness, b.fitness);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.relative_error, b.relative_error);
+  }
+}
+
+// Every exact pricing path — fused decode+price, stateless single pass
+// and cached full pricing — returns the same doubles: the identity all
+// goldens and figure CSVs rest on.
+TEST(NumericModeProperty, ExactModePathsStayBitIdentical) {
+  util::Rng rng(33);
+  FlatSchedule flat;
+  QueueLoads loads;
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t tasks = 1 + rng.index(50);
+    const std::size_t procs = 1 + rng.index(10);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator exact(random_sizes(tasks, rng),
+                                  random_view(procs, rng),
+                                  rng.bernoulli(0.5), NumericMode::kExact);
+    const ga::Chromosome c = random_chromosome(codec, rng);
+
+    const BatchEvaluation fused = exact.load_decoded(codec, c, flat, loads);
+    const BatchEvaluation stateless = exact.evaluate(flat);
+    ASSERT_EQ(fused.fitness, stateless.fitness);
+    ASSERT_EQ(fused.makespan, stateless.makespan);
+    ASSERT_EQ(fused.relative_error, stateless.relative_error);
+
+    QueueLoads reloaded;
+    const BatchEvaluation loaded = exact.load(flat, reloaded);
+    ASSERT_EQ(loaded.fitness, stateless.fitness);
+    ASSERT_EQ(loaded.makespan, stateless.makespan);
+    ASSERT_EQ(loaded.relative_error, stateless.relative_error);
+  }
+}
+
+// --- batched engine path ----------------------------------------------------
+
+TEST(NumericModeBatch, EvaluateBatchMatchesPerChromosomeEvaluate) {
+  util::Rng rng(41);
+  const std::size_t tasks = 40, procs = 8;
+  const ScheduleCodec codec(tasks, procs);
+  const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                               random_view(procs, rng), true);
+  const ScheduleProblem problem(codec, eval);
+
+  std::vector<ga::Chromosome> pop;
+  for (int k = 0; k < 24; ++k) pop.push_back(random_chromosome(codec, rng));
+  std::vector<std::size_t> indices;
+  for (std::size_t k = 0; k < pop.size(); k += 2) indices.push_back(k);
+
+  const auto ws = problem.make_workspace();
+  std::vector<ga::GaProblem::Evaluation> got(indices.size());
+  problem.evaluate_batch(pop, indices, ws.get(), got.data());
+
+  FlatSchedule flat;
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const ga::Chromosome& c = pop[indices[k]];
+    const auto fresh = problem.make_workspace();
+    const auto want = problem.evaluate(c, fresh.get());
+    EXPECT_EQ(got[k].fitness, want.fitness);
+    EXPECT_EQ(got[k].objective, want.objective);
+    codec.decode_into(c, flat);
+    EXPECT_EQ(got[k].fitness, eval.fitness(flat));
+    EXPECT_EQ(got[k].objective, eval.makespan(flat));
+  }
+}
+
+TEST(NumericModeBatch, EvaluateBatchCarriesNoStateBetweenChromosomes) {
+  util::Rng rng(42);
+  const std::size_t tasks = 30, procs = 6;
+  const ScheduleCodec codec(tasks, procs);
+  const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                               random_view(procs, rng), true);
+  const ScheduleProblem problem(codec, eval);
+  std::vector<ga::Chromosome> pop;
+  for (int k = 0; k < 4; ++k) pop.push_back(random_chromosome(codec, rng));
+
+  // One workspace walks interleaved, repeated indices: a repeat must price
+  // exactly as its first visit, and a null workspace the same again.
+  const std::vector<std::size_t> indices{3, 0, 3, 1, 0, 2, 1};
+  const auto ws = problem.make_workspace();
+  std::vector<ga::GaProblem::Evaluation> with_ws(indices.size());
+  std::vector<ga::GaProblem::Evaluation> without_ws(indices.size());
+  problem.evaluate_batch(pop, indices, ws.get(), with_ws.data());
+  problem.evaluate_batch(pop, indices, nullptr, without_ws.data());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const auto want = problem.evaluate(pop[indices[k]], nullptr);
+    EXPECT_EQ(with_ws[k].fitness, want.fitness) << "k=" << k;
+    EXPECT_EQ(with_ws[k].objective, want.objective) << "k=" << k;
+    EXPECT_EQ(without_ws[k].fitness, want.fitness) << "k=" << k;
+    EXPECT_EQ(without_ws[k].objective, want.objective) << "k=" << k;
+  }
+
+  // An empty block writes nothing.
+  ga::GaProblem::Evaluation untouched{-1.0, -2.0};
+  problem.evaluate_batch(pop, {}, ws.get(), &untouched);
+  EXPECT_EQ(untouched.fitness, -1.0);
+  EXPECT_EQ(untouched.objective, -2.0);
 }
 
 }  // namespace

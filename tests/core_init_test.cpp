@@ -27,17 +27,22 @@ std::vector<double> uniform_sizes(std::size_t n, util::Rng& rng) {
   return s;
 }
 
+FlatSchedule list_schedule(const ScheduleEvaluator& eval,
+                           double random_fraction, util::Rng& rng) {
+  FlatSchedule s;
+  list_schedule_flat(eval, random_fraction, rng, s);
+  return s;
+}
+
 TEST(ListSchedule, CoversEveryTaskExactlyOnce) {
   util::Rng rng(1);
   const auto sizes = uniform_sizes(40, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
   for (double frac : {0.0, 0.3, 1.0}) {
-    const ProcQueues q = list_schedule(eval, frac, rng);
-    ASSERT_EQ(q.size(), 4u);
+    const FlatSchedule q = list_schedule(eval, frac, rng);
+    ASSERT_EQ(q.num_procs(), 4u);
     std::vector<int> seen(40, 0);
-    for (const auto& queue : q) {
-      for (const auto slot : queue) ++seen[slot];
-    }
+    for (const auto slot : q.slots()) ++seen[slot];
     for (const int s : seen) ASSERT_EQ(s, 1);
   }
 }
@@ -48,10 +53,10 @@ TEST(ListSchedule, PureGreedyIsWellBalanced) {
   util::Rng rng(2);
   const auto sizes = uniform_sizes(200, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
+  const FlatSchedule q = list_schedule(eval, 0.0, rng);
   std::vector<double> completions;
   for (std::size_t j = 0; j < 4; ++j) {
-    completions.push_back(eval.completion_time(j, q[j]));
+    completions.push_back(eval.completion_time(j, q.queue(j)));
   }
   const auto s = util::summarize(completions);
   EXPECT_LT((s.max - s.min) / s.mean, 0.25);
@@ -74,8 +79,10 @@ TEST(ListSchedule, FullyRandomUsesAllProcessorsEventually) {
   const auto sizes = uniform_sizes(300, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 10, 10, 10, 10}),
                                false);
-  const ProcQueues q = list_schedule(eval, 1.0, rng);
-  for (const auto& queue : q) EXPECT_FALSE(queue.empty());
+  const FlatSchedule q = list_schedule(eval, 1.0, rng);
+  for (std::size_t j = 0; j < q.num_procs(); ++j) {
+    EXPECT_FALSE(q.queue(j).empty());
+  }
 }
 
 TEST(ListSchedule, RespectsExistingLoad) {
@@ -84,9 +91,9 @@ TEST(ListSchedule, RespectsExistingLoad) {
   v.procs[0].pending_mflops = 10000.0;
   const ScheduleEvaluator eval({50.0}, v, false);
   util::Rng rng(5);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
-  EXPECT_TRUE(q[0].empty());
-  ASSERT_EQ(q[1].size(), 1u);
+  const FlatSchedule q = list_schedule(eval, 0.0, rng);
+  EXPECT_TRUE(q.queue(0).empty());
+  ASSERT_EQ(q.queue(1).size(), 1u);
 }
 
 TEST(ListSchedule, CommEstimatesSteerGreedyPlacement) {
@@ -95,9 +102,9 @@ TEST(ListSchedule, CommEstimatesSteerGreedyPlacement) {
   const ScheduleEvaluator eval({50.0},
                                make_view({10.0, 10.0}, {100.0, 0.0}), true);
   util::Rng rng(6);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
-  EXPECT_TRUE(q[0].empty());
-  EXPECT_EQ(q[1].size(), 1u);
+  const FlatSchedule q = list_schedule(eval, 0.0, rng);
+  EXPECT_TRUE(q.queue(0).empty());
+  EXPECT_EQ(q.queue(1).size(), 1u);
 }
 
 TEST(InitialPopulation, CorrectCountAndAllValid) {
@@ -127,13 +134,42 @@ TEST(InitialPopulation, IndividualsAreDiverse) {
   EXPECT_GT(distinct_pairs, 30);  // most pairs differ
 }
 
+TEST(InitialPopulation, EncodesSuccessiveListSchedules) {
+  util::Rng rng(10);
+  const auto sizes = uniform_sizes(25, rng);
+  const ScheduleCodec codec(25, 4);
+  const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}, {1, 0, 2, 0}),
+                               true);
+  util::Rng ra(11), rb(11);
+  const auto pop = initial_population(codec, eval, 6, 0.5, ra);
+  ASSERT_EQ(pop.size(), 6u);
+  for (const auto& c : pop) {
+    EXPECT_EQ(c, codec.encode(list_schedule(eval, 0.5, rb)));
+  }
+  // Same draws in the same order: the streams agree afterwards.
+  EXPECT_EQ(ra.next_u64(), rb.next_u64());
+}
+
+TEST(ListSchedule, SameSeedReproducesSchedule) {
+  util::Rng rng(12);
+  const auto sizes = uniform_sizes(40, rng);
+  const ScheduleEvaluator eval(sizes, make_view({10, 25, 60}), false);
+  for (const double frac : {0.0, 0.3, 1.0}) {
+    util::Rng ra(13), rb(13);
+    EXPECT_EQ(list_schedule(eval, frac, ra), list_schedule(eval, frac, rb));
+  }
+  // A different seed shuffles the visit order differently.
+  util::Rng ra(13), rb(14);
+  EXPECT_FALSE(list_schedule(eval, 0.3, ra) == list_schedule(eval, 0.3, rb));
+}
+
 TEST(ListSchedule, EmptyBatchYieldsEmptyQueues) {
   const ScheduleEvaluator eval({}, make_view({10.0, 20.0}), false);
   util::Rng rng(9);
-  const ProcQueues q = list_schedule(eval, 0.5, rng);
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_TRUE(q[0].empty());
-  EXPECT_TRUE(q[1].empty());
+  const FlatSchedule q = list_schedule(eval, 0.5, rng);
+  ASSERT_EQ(q.num_procs(), 2u);
+  EXPECT_TRUE(q.queue(0).empty());
+  EXPECT_TRUE(q.queue(1).empty());
 }
 
 }  // namespace

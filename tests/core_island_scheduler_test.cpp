@@ -104,7 +104,9 @@ TEST(IslandScheduler, IslandSearchNotWorseThanSingleMicroGa) {
         queues[j].push_back(static_cast<std::size_t>(id));
       }
     }
-    return eval.makespan(queues);
+    FlatSchedule schedule;
+    schedule.assign(queues);
+    return eval.makespan(schedule);
   };
 
   auto qp = tasks_of_sizes(sizes);

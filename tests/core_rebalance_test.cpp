@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <string>
 #include <vector>
 
 namespace gasched::core {
@@ -19,6 +18,18 @@ sim::SystemView make_view(std::vector<double> rates) {
     v.procs[j].rate = rates[j];
   }
   return v;
+}
+
+FlatSchedule flat(const ProcQueues& queues) {
+  FlatSchedule s;
+  s.assign(queues);
+  return s;
+}
+
+FlatSchedule decoded(const ScheduleCodec& codec, const ga::Chromosome& c) {
+  FlatSchedule s;
+  codec.decode_into(c, s);
+  return s;
 }
 
 TEST(Rebalance, NeverInvalidatesChromosome) {
@@ -58,9 +69,9 @@ TEST(Rebalance, NeverDecreasesFitness) {
       c.push_back(ScheduleCodec::delimiter_gene(k));
     }
     rng.shuffle(c);
-    const double before = eval.fitness(codec.decode(c));
+    const double before = eval.fitness(decoded(codec, c));
     const bool improved = rebalance_once(c, codec, eval, rng);
-    const double after = eval.fitness(codec.decode(c));
+    const double after = eval.fitness(decoded(codec, c));
     if (improved) {
       ASSERT_GT(after, before);
     } else {
@@ -78,23 +89,22 @@ TEST(Rebalance, ImprovesBlatantImbalance) {
   for (std::size_t i = 0; i < 5; ++i) sizes.push_back(10.0);
   const ScheduleCodec codec(H, 2);
   const ScheduleEvaluator eval(sizes, make_view({10.0, 10.0}), false);
-  const ProcQueues skewed{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}};
-  ga::Chromosome c = codec.encode(skewed);
+  ga::Chromosome c = codec.encode(flat({{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}));
   util::Rng rng(3);
-  const double before = eval.fitness(codec.decode(c));
+  const double before = eval.fitness(decoded(codec, c));
   int improvements = 0;
   for (int pass = 0; pass < 50; ++pass) {
     if (rebalance_once(c, codec, eval, rng)) ++improvements;
   }
   EXPECT_GT(improvements, 0);
-  EXPECT_GT(eval.fitness(codec.decode(c)), before);
+  EXPECT_GT(eval.fitness(decoded(codec, c)), before);
 }
 
 TEST(Rebalance, SingleProcessorIsNoop) {
   const ScheduleCodec codec(5, 1);
   const ScheduleEvaluator eval({10, 20, 30, 40, 50}, make_view({10.0}),
                                false);
-  ga::Chromosome c = codec.encode(ProcQueues{{0, 1, 2, 3, 4}});
+  ga::Chromosome c = codec.encode(flat({{0, 1, 2, 3, 4}}));
   const ga::Chromosome before = c;
   util::Rng rng(4);
   EXPECT_FALSE(rebalance_once(c, codec, eval, rng));
@@ -106,7 +116,7 @@ TEST(Rebalance, EmptyHeavyQueueImpossible) {
   // empty-queue heavy processor can only occur with an empty batch.
   const ScheduleCodec codec(0, 3);
   const ScheduleEvaluator eval({}, make_view({10, 10, 10}), false);
-  ga::Chromosome c = codec.encode(ProcQueues(3));
+  ga::Chromosome c = codec.encode(flat(ProcQueues(3)));
   util::Rng rng(5);
   EXPECT_FALSE(rebalance_once(c, codec, eval, rng));
 }
@@ -116,8 +126,7 @@ TEST(Rebalance, RespectsProbeBudget) {
   const ScheduleCodec codec(6, 2);
   const ScheduleEvaluator eval({100, 200, 300, 10, 20, 30},
                                make_view({10, 10}), false);
-  ga::Chromosome c =
-      codec.encode(ProcQueues{{0, 1, 2}, {3, 4, 5}});
+  ga::Chromosome c = codec.encode(flat({{0, 1, 2}, {3, 4, 5}}));
   const ga::Chromosome before = c;
   util::Rng rng(6);
   EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 0));
@@ -169,9 +178,7 @@ ga::Chromosome random_chromosome(std::size_t H, std::size_t M,
   return c;
 }
 
-class RebalanceWorkspace : public ::testing::TestWithParam<NumericMode> {};
-
-TEST_P(RebalanceWorkspace, RejectedProbeRestoresScheduleAndLoads) {
+TEST(RebalanceWorkspace, RejectedProbeRestoresScheduleAndLoads) {
   // Tiny tasks keep E <= 1, where fitness is clamped to 1: no swap can be
   // fitter, so every probe that finds a smaller task is rejected. With 64
   // probes on 4 processors nearly every pass takes that path.
@@ -180,8 +187,7 @@ TEST_P(RebalanceWorkspace, RejectedProbeRestoresScheduleAndLoads) {
   std::vector<double> sizes;
   for (std::size_t i = 0; i < H; ++i) sizes.push_back(rng.uniform(0.01, 0.1));
   const ScheduleCodec codec(H, M);
-  const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false,
-                               GetParam());
+  const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
   EvalWorkspace ws;
   for (int trial = 0; trial < 200; ++trial) {
     ga::Chromosome c = random_chromosome(H, M, rng);
@@ -192,7 +198,7 @@ TEST_P(RebalanceWorkspace, RejectedProbeRestoresScheduleAndLoads) {
   }
 }
 
-TEST_P(RebalanceWorkspace, CarriedWorkspaceMatchesFreshDecode) {
+TEST(RebalanceWorkspace, CarriedWorkspaceMatchesFreshDecode) {
   // The engine's carry: repeated passes on one chromosome with the
   // workspace flagged as describing it must accept, reject, and supply
   // exactly what passes through a fresh workspace do, RNG draw for draw.
@@ -202,7 +208,7 @@ TEST_P(RebalanceWorkspace, CarriedWorkspaceMatchesFreshDecode) {
   for (std::size_t i = 0; i < H; ++i) sizes.push_back(rng.uniform(10.0, 500.0));
   const ScheduleCodec codec(H, M);
   const ScheduleEvaluator eval(sizes, make_view({10, 15, 20, 30, 45, 60}),
-                               false, GetParam());
+                               false);
   EvalWorkspace carried;
   int accepted = 0, unchanged = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -231,15 +237,6 @@ TEST_P(RebalanceWorkspace, CarriedWorkspaceMatchesFreshDecode) {
   EXPECT_GT(accepted, 0);
   EXPECT_GT(unchanged, 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, RebalanceWorkspace,
-                         ::testing::Values(NumericMode::kExact,
-                                           NumericMode::kFast),
-                         [](const auto& info) {
-                           return info.param == NumericMode::kExact
-                                      ? std::string("Exact")
-                                      : std::string("Fast");
-                         });
 
 }  // namespace
 }  // namespace gasched::core

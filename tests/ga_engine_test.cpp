@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -55,6 +56,32 @@ class SortProblemWithImprove final : public GaProblem {
     }
     return false;
   }
+};
+
+/// SortProblem that counts the individuals the engine prices through
+/// evaluate_batch and flags any index outside the population.
+class BatchCountingSortProblem final : public GaProblem {
+ public:
+  double fitness(const Chromosome& c) const override {
+    return inner_.fitness(c);
+  }
+  double objective(const Chromosome& c) const override {
+    return inner_.objective(c);
+  }
+  void evaluate_batch(std::span<const Chromosome> pop,
+                      std::span<const std::size_t> indices, Workspace* ws,
+                      Evaluation* out) const override {
+    batched += indices.size();
+    for (const std::size_t i : indices) {
+      if (i >= pop.size()) bad_index = true;
+    }
+    GaProblem::evaluate_batch(pop, indices, ws, out);
+  }
+  mutable std::atomic<std::size_t> batched{0};
+  mutable std::atomic<bool> bad_index{false};
+
+ private:
+  SortProblem inner_;
 };
 
 std::vector<Chromosome> random_population(std::size_t count, std::size_t n,
@@ -173,6 +200,82 @@ TEST(GaEngine, DeterministicGivenSeed) {
   const GaResult y = engine.run(problem, pb, rb);
   EXPECT_EQ(x.best, y.best);
   EXPECT_DOUBLE_EQ(x.best_objective, y.best_objective);
+}
+
+/// Runs the same seeded GA on SortProblem and on its batch-counting twin
+/// and checks that every evaluation went through evaluate_batch without
+/// changing the run.
+void expect_evaluations_route_through_batch(std::size_t population) {
+  GaConfig cfg;
+  cfg.population = population;
+  cfg.max_generations = 15;
+  cfg.parallel_eval_threshold = 64;
+  const GaEngine engine = make_engine(cfg);
+  const SortProblem plain;
+  const BatchCountingSortProblem counting;
+  util::Rng ra(21), rb(21);
+  auto pa = random_population(population, 14, ra);
+  auto pb = random_population(population, 14, rb);
+  const GaResult x = engine.run(plain, pa, ra);
+  const GaResult y = engine.run(counting, pb, rb);
+  EXPECT_FALSE(counting.bad_index.load());
+  EXPECT_GT(y.evaluations, 0u);
+  EXPECT_EQ(counting.batched.load(), y.evaluations);
+  EXPECT_EQ(x.evaluations, y.evaluations);
+  EXPECT_EQ(x.best, y.best);
+  EXPECT_EQ(x.best_objective, y.best_objective);
+  EXPECT_EQ(x.generations, y.generations);
+}
+
+TEST(GaEngine, SerialEvaluationsRouteThroughEvaluateBatch) {
+  expect_evaluations_route_through_batch(10);  // below the threshold
+}
+
+TEST(GaEngine, ParallelEvaluationsRouteThroughEvaluateBatch) {
+  expect_evaluations_route_through_batch(80);  // pool-chunked blocks
+}
+
+/// SortProblem whose per-individual evaluate() is deliberately wrong and
+/// whose evaluate_batch() prices correctly: a run can only match the
+/// plain problem if the engine takes every evaluation from the batch.
+class BatchOnlySortProblem final : public GaProblem {
+ public:
+  double fitness(const Chromosome& c) const override {
+    return inner_.fitness(c);
+  }
+  double objective(const Chromosome& c) const override {
+    return inner_.objective(c);
+  }
+  Evaluation evaluate(const Chromosome&, Workspace*) const override {
+    return {0.0, 1e9};
+  }
+  void evaluate_batch(std::span<const Chromosome> pop,
+                      std::span<const std::size_t> indices, Workspace*,
+                      Evaluation* out) const override {
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      out[k] = {fitness(pop[indices[k]]), objective(pop[indices[k]])};
+    }
+  }
+
+ private:
+  SortProblem inner_;
+};
+
+TEST(GaEngine, UsesTheValuesEvaluateBatchReturns) {
+  GaConfig cfg;
+  cfg.population = 10;
+  cfg.max_generations = 30;
+  cfg.record_history = true;
+  const GaEngine engine = make_engine(cfg);
+  util::Rng ra(31), rb(31);
+  auto pa = random_population(10, 12, ra);
+  auto pb = random_population(10, 12, rb);
+  const GaResult x = engine.run(SortProblem{}, pa, ra);
+  const GaResult y = engine.run(BatchOnlySortProblem{}, pb, rb);
+  EXPECT_EQ(x.best, y.best);
+  EXPECT_EQ(x.best_objective, y.best_objective);
+  EXPECT_EQ(x.objective_history, y.objective_history);
+  EXPECT_LT(y.best_objective, 1e9);
 }
 
 TEST(GaEngine, PadsSmallInitialPopulation) {

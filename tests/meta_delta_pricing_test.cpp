@@ -139,7 +139,9 @@ TEST(MetaDeltaPricing, TieBreakingMatchesFirstArgmax) {
                                      /*use_comm=*/false);
   core::ProcQueues queues(procs);
   for (std::size_t s = 0; s < tasks; ++s) queues[s % procs].push_back(s);
-  LoadTracker tracker(eval, queues);
+  core::FlatSchedule schedule;
+  schedule.assign(queues);
+  LoadTracker tracker(eval, schedule);
 
   // All processors tie: the heaviest is the first.
   EXPECT_EQ(tracker.heaviest_proc(), 0u);
@@ -185,7 +187,9 @@ TEST(MetaDeltaPricing, SingleProcessorTrackerStaysConsistent) {
                                      random_view(1, rng), true);
   core::ProcQueues queues(1);
   for (std::size_t s = 0; s < tasks; ++s) queues[0].push_back(s);
-  const LoadTracker tracker(eval, queues);
+  core::FlatSchedule schedule;
+  schedule.assign(queues);
+  const LoadTracker tracker(eval, schedule);
   EXPECT_EQ(tracker.heaviest_proc(), 0u);
   EXPECT_EQ(tracker.makespan(), fresh_scan(tracker).makespan);
 }

@@ -56,16 +56,20 @@ double result_makespan(const Instance& in, const sim::BatchAssignment& a) {
       queues[j].push_back(static_cast<std::size_t>(id));
     }
   }
-  return eval.makespan(queues);
+  core::FlatSchedule schedule;
+  schedule.assign(queues);
+  return eval.makespan(schedule);
 }
 
 /// Makespan of the greedy list schedule the policy starts from, replayed
 /// with an identical RNG stream (the policy's first RNG use is the same
-/// list_schedule call).
+/// list_schedule_flat call).
 double greedy_start_makespan(const Instance& in, std::uint64_t seed) {
   const core::ScheduleEvaluator eval(in.sizes, in.view, true);
   util::Rng rng(seed);
-  return eval.makespan(core::list_schedule(eval, 0.0, rng));
+  core::FlatSchedule start;
+  core::list_schedule_flat(eval, 0.0, rng, start);
+  return eval.makespan(start);
 }
 
 template <typename PolicyPtr>

@@ -114,5 +114,14 @@ TEST(ServeConfigIni, RejectsOutOfRangeValues) {
                std::runtime_error);
 }
 
+TEST(RoutePolicy, ParsesEachDocumentedName) {
+  EXPECT_EQ(parse_route_policy("rr"), RoutePolicy::kRoundRobin);
+  EXPECT_EQ(parse_route_policy("least_loaded"), RoutePolicy::kLeastLoaded);
+  EXPECT_EQ(parse_route_policy("fastest"), RoutePolicy::kEarliestDrain);
+  // Names are exact: no prefix or case folding.
+  EXPECT_THROW(parse_route_policy("fast"), std::runtime_error);
+  EXPECT_THROW(parse_route_policy("RR"), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace gasched::rt
