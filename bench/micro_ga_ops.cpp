@@ -151,6 +151,35 @@ void BM_CycleCrossover(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleCrossover)->Arg(200)->Arg(1000);
 
+void BM_CycleCrossoverConverged(benchmark::State& state) {
+  // The converged micro GA's case: parents a few transpositions apart
+  // (about 5 of 99 positions differ at the PN shape), children written
+  // into reused buffers with their origin reported.
+  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
+  util::Rng rng(3);
+  ga::Chromosome other = f.chromosome;
+  for (int s = 0; s < 3; ++s) {
+    std::swap(other[rng.index(other.size())], other[rng.index(other.size())]);
+  }
+  const ga::CycleCrossover cx;
+  ga::Chromosome c1, c2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cx.apply_into_origin(f.chromosome, other, c1, c2, rng));
+  }
+}
+BENCHMARK(BM_CycleCrossoverConverged)->Arg(50)->Arg(200);
+
+void BM_RngIndex(benchmark::State& state) {
+  // One Rng::index(n) draw: n = 50 (a processor), 20 (a population
+  // slot), 249 (a ZO chromosome position) take the division-free table
+  // path; n = 1000 takes uniform_int's two divisions.
+  util::Rng rng(5);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.index(n));
+}
+BENCHMARK(BM_RngIndex)->Arg(20)->Arg(50)->Arg(249)->Arg(1000);
+
 void BM_PmxCrossover(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
   util::Rng rng(4);

@@ -71,26 +71,11 @@ ga::Chromosome ScheduleCodec::encode(const FlatSchedule& schedule) const {
 
 void ScheduleCodec::decode_into(const ga::Chromosome& c,
                                 FlatSchedule& out) const {
-  out.slots_.clear();
-  out.slots_.reserve(num_tasks_);
-  out.offsets_.resize(num_procs_ + 1);
-  out.offsets_[0] = 0;
-  std::size_t proc = 0;
-  for (const ga::Gene g : c) {
-    if (is_delimiter(g)) {
-      ++proc;
-      if (proc >= num_procs_) {
-        throw std::invalid_argument(
-            "ScheduleCodec::decode: too many delimiters");
-      }
-      out.offsets_[proc] = out.slots_.size();
-    } else {
-      out.slots_.push_back(task_slot(g));
-    }
-  }
-  for (std::size_t j = proc + 1; j <= num_procs_; ++j) {
-    out.offsets_[j] = out.slots_.size();
-  }
+  decode_walk(c, out, [](std::size_t, std::size_t) {});
+}
+
+void ScheduleCodec::throw_too_many_delimiters() {
+  throw std::invalid_argument("ScheduleCodec::decode: too many delimiters");
 }
 
 bool ScheduleCodec::valid(const ga::Chromosome& c) const {

@@ -72,7 +72,6 @@ class FlatSchedule {
 
  private:
   friend class ScheduleCodec;
-  friend class ScheduleEvaluator;  // fused decode+price (fitness.cpp)
 
   std::vector<std::size_t> slots_;    // N slots, grouped by processor
   std::vector<std::size_t> offsets_;  // M+1 offsets, offsets_[0] == 0
@@ -122,12 +121,47 @@ class ScheduleCodec {
   /// reading.
   void decode_into(const ga::Chromosome& c, FlatSchedule& out) const;
 
+  /// The delimiter walk behind every decode: fills `out` exactly as
+  /// decode_into does and calls `on_slot(proc, slot)` for each task gene,
+  /// in chromosome order — the hook the evaluator's fused decode + price
+  /// accumulates each C_j through. Throws std::invalid_argument on more
+  /// than M − 1 delimiters.
+  template <typename OnSlot>
+  void decode_walk(const ga::Chromosome& c, FlatSchedule& out,
+                   OnSlot&& on_slot) const;
+
   /// Validates that `c` is a permutation of the expected symbol set.
   bool valid(const ga::Chromosome& c) const;
 
  private:
+  [[noreturn]] static void throw_too_many_delimiters();
+
   std::size_t num_tasks_;
   std::size_t num_procs_;
 };
+
+template <typename OnSlot>
+void ScheduleCodec::decode_walk(const ga::Chromosome& c, FlatSchedule& out,
+                                OnSlot&& on_slot) const {
+  out.slots_.clear();
+  out.slots_.reserve(num_tasks_);
+  out.offsets_.resize(num_procs_ + 1);
+  out.offsets_[0] = 0;
+  std::size_t proc = 0;
+  for (const ga::Gene g : c) {
+    if (is_delimiter(g)) {
+      ++proc;
+      if (proc >= num_procs_) throw_too_many_delimiters();
+      out.offsets_[proc] = out.slots_.size();
+    } else {
+      const std::size_t slot = task_slot(g);
+      out.slots_.push_back(slot);
+      on_slot(proc, slot);
+    }
+  }
+  for (std::size_t j = proc + 1; j <= num_procs_; ++j) {
+    out.offsets_[j] = out.slots_.size();
+  }
+}
 
 }  // namespace gasched::core

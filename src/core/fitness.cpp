@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/rebalance.hpp"
@@ -158,49 +159,24 @@ BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
   return reduce(out);
 }
 
-void ScheduleEvaluator::fused_decode_price(
-    const ScheduleCodec& codec, const ga::Chromosome& c,
-    FlatSchedule& schedule, std::vector<double>& completion) const {
-  // Mirror of ScheduleCodec::decode_into with the pricing fused into the
-  // walk: as each slot lands in its queue its cost is added to that
-  // queue's running C_j — the same left-to-right, queue-order summation
-  // completion_time() performs, so the result is bit-identical to
-  // decode_into + per-queue completion_time at half the passes over the
-  // chromosome.
-  const std::size_t M = codec.num_procs();
-  const std::size_t N = size_.size();
-  schedule.slots_.clear();
-  schedule.slots_.reserve(codec.num_tasks());
-  schedule.offsets_.resize(M + 1);
-  schedule.offsets_[0] = 0;
-  completion.resize(M);
-  for (std::size_t j = 0; j < M; ++j) completion[j] = delta_[j];
-  std::size_t proc = 0;
-  for (const ga::Gene g : c) {
-    if (ScheduleCodec::is_delimiter(g)) {
-      ++proc;
-      if (proc >= M) {
-        throw std::invalid_argument(
-            "ScheduleCodec::decode: too many delimiters");
-      }
-      schedule.offsets_[proc] = schedule.slots_.size();
-    } else {
-      const std::size_t slot = ScheduleCodec::task_slot(g);
-      schedule.slots_.push_back(slot);
-      completion[proc] += cost_[proc * N + slot];
-    }
-  }
-  for (std::size_t j = proc + 1; j <= M; ++j) {
-    schedule.offsets_[j] = schedule.slots_.size();
-  }
-}
-
 BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
                                                 const ga::Chromosome& c,
                                                 FlatSchedule& schedule,
                                                 QueueLoads& out) const {
-  fused_decode_price(codec, c, schedule, out.completion);
+  // The codec's decode walk with the pricing fused in: as each slot lands
+  // in its queue its cost is added to that queue's running C_j — the same
+  // left-to-right, queue-order summation completion_time() performs, so
+  // the result is bit-identical to decode_into + load in one pass over
+  // the chromosome.
   const std::size_t M = codec.num_procs();
+  const std::size_t N = size_.size();
+  out.completion.resize(M);
+  double* completion = out.completion.data();
+  for (std::size_t j = 0; j < M; ++j) completion[j] = delta_[j];
+  const double* cost = cost_.data();
+  codec.decode_walk(c, schedule, [=](std::size_t proc, std::size_t slot) {
+    completion[proc] += cost[proc * N + slot];
+  });
   out.dev_sq.resize(M);
   for (std::size_t j = 0; j < M; ++j) {
     const double dev = psi_ - out.completion[j];
@@ -223,6 +199,47 @@ BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
                                                  std::size_t from,
                                                  std::size_t to) const {
   return evaluate_swap(schedule, loads, from, to);
+}
+
+namespace {
+
+/// True when the reduced sum of the candidate's dev_sq terms is provably
+/// >= `base_sum`, the reduced sum of the cached terms, where the candidate
+/// replaces cached terms summing to `old_terms` with ones summing to
+/// `new_terms` (each pair summed in one rounding). All terms are
+/// non-negative squares and both full sums are left-to-right over `m`
+/// terms, so each lies within γ_{m−1}·T of its exact sum T; the margin
+/// 8(m+4)u·(S_b + new + old) covers twice that plus the rounding of the
+/// difference itself. Undecided (false) whenever the margin is not a
+/// normal number — which includes inf and NaN inputs.
+bool provably_not_smaller(double base_sum, double old_terms, double new_terms,
+                          std::size_t m) {
+  constexpr double kUnitRoundoff = 0x1p-53;
+  const double margin = 8.0 * (static_cast<double>(m) + 4.0) *
+                        kUnitRoundoff * (base_sum + new_terms + old_terms);
+  return margin >= std::numeric_limits<double>::min() &&
+         new_terms - old_terms > margin;
+}
+
+}  // namespace
+
+std::optional<BatchEvaluation> ScheduleEvaluator::evaluate_swap_filtered(
+    const FlatSchedule& schedule, QueueLoads& loads, std::size_t qa,
+    std::size_t qb) const {
+  const double old_terms =
+      qb == qa ? loads.dev_sq[qa] : loads.dev_sq[qa] + loads.dev_sq[qb];
+  reprice_queue(schedule, loads, qa);
+  if (qb != qa) reprice_queue(schedule, loads, qb);
+  const double new_terms =
+      qb == qa ? loads.dev_sq[qa] : loads.dev_sq[qa] + loads.dev_sq[qb];
+  // F = min(1, 1/sqrt(sum_sq)) never increases with sum_sq (sqrt and the
+  // division are monotone in floating point), so a candidate whose sum is
+  // not smaller cannot be strictly fitter.
+  if (provably_not_smaller(loads.sum_sq, old_terms, new_terms,
+                           loads.dev_sq.size())) {
+    return std::nullopt;
+  }
+  return reduce(loads);
 }
 
 ScheduleProblem::ScheduleProblem(const ScheduleCodec& codec,

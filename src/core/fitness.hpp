@@ -16,6 +16,7 @@
 // summands of C_j are seconds.
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -128,6 +129,20 @@ class ScheduleEvaluator {
                                 QueueLoads& loads, std::size_t from,
                                 std::size_t to) const;
 
+  /// evaluate_swap for a caller that keeps the candidate only when it is
+  /// strictly fitter than the cached state (the re-balancing heuristic).
+  /// Re-prices the two queues as evaluate_swap does. When a rounding-error
+  /// bound on the two-term change proves that the candidate's reduced
+  /// sum_sq is at least the cached one — so its fitness cannot be higher
+  /// — returns nullopt without the O(M) reduction, leaving `loads` with
+  /// the two re-priced queues but the pre-change reductions: the caller
+  /// must restore those two queues (or price in full) before reading the
+  /// cache again. Otherwise returns exactly what evaluate_swap returns,
+  /// with `loads` updated. The bound is in docs/evaluation.md.
+  std::optional<BatchEvaluation> evaluate_swap_filtered(
+      const FlatSchedule& schedule, QueueLoads& loads, std::size_t qa,
+      std::size_t qb) const;
+
   /// Size of batch slot `slot` in MFLOPs.
   double task_size(std::size_t slot) const { return size_.at(slot); }
   /// Per-task execution+comm cost on processor j (seconds). Served from
@@ -152,13 +167,6 @@ class ScheduleEvaluator {
   void reprice_queue(const FlatSchedule& schedule, QueueLoads& loads,
                      std::size_t j) const;
 
-  /// Decodes `c` into `schedule` while accumulating each C_j (seeded
-  /// with δ_j) into `completion` in queue order — the same left-to-right
-  /// summation completion_time() performs.
-  void fused_decode_price(const ScheduleCodec& codec, const ga::Chromosome& c,
-                          FlatSchedule& schedule,
-                          std::vector<double>& completion) const;
-
   std::vector<double> size_;   // t_i per batch slot
   std::vector<double> rate_;   // P_j
   std::vector<double> delta_;  // δ_j = L_j / P_j
@@ -174,6 +182,15 @@ class ScheduleEvaluator {
 struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
+
+  /// Carried state for repeat copies: the decode and the per-queue loads
+  /// (buffer capacity is reused, so steady state allocates nothing).
+  bool copy_state_from(const ga::GaProblem::Workspace& other) override {
+    const auto& o = static_cast<const EvalWorkspace&>(other);
+    schedule = o.schedule;
+    loads = o.loads;
+    return true;
+  }
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.

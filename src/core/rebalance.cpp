@@ -1,6 +1,7 @@
 #include "core/rebalance.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace gasched::core {
@@ -23,10 +24,8 @@ class SwapUndo {
         qb_(qb),
         completion_a_(l.completion[qa]),
         completion_b_(l.completion[qb]),
-        // dev_sq is maintained under kExact only (see QueueLoads).
-        has_dev_(!l.dev_sq.empty()),
-        dev_a_(has_dev_ ? l.dev_sq[qa] : 0.0),
-        dev_b_(has_dev_ ? l.dev_sq[qb] : 0.0),
+        dev_a_(l.dev_sq[qa]),
+        dev_b_(l.dev_sq[qb]),
         sum_sq_(l.sum_sq),
         max_completion_(l.max_completion),
         heaviest_(l.heaviest),
@@ -35,10 +34,8 @@ class SwapUndo {
   void restore(QueueLoads& l) const {
     l.completion[qa_] = completion_a_;
     l.completion[qb_] = completion_b_;
-    if (has_dev_) {
-      l.dev_sq[qa_] = dev_a_;
-      l.dev_sq[qb_] = dev_b_;
-    }
+    l.dev_sq[qa_] = dev_a_;
+    l.dev_sq[qb_] = dev_b_;
     l.sum_sq = sum_sq_;
     l.max_completion = max_completion_;
     l.heaviest = heaviest_;
@@ -48,7 +45,6 @@ class SwapUndo {
  private:
   std::size_t qa_, qb_;
   double completion_a_, completion_b_;
-  bool has_dev_;
   double dev_a_, dev_b_;
   double sum_sq_, max_completion_;
   std::size_t heaviest_;
@@ -92,10 +88,14 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
 
     // Candidate: swap the two tasks between queues, in place, and
     // delta-price only the two changed queues against the cached loads.
+    // Most probes lose; the filtered form rejects a provably-not-fitter
+    // candidate without reducing over all M queues, and reduces exactly
+    // before any accept.
     std::swap(other_q[oi], heavy_q[hi]);
     const SwapUndo undo(ws.loads, other, heavy);
-    const BatchEvaluation cand = eval.evaluate_swap(s, ws.loads, other, heavy);
-    if (cand.fitness > base.fitness) {
+    const std::optional<BatchEvaluation> cand =
+        eval.evaluate_swap_filtered(s, ws.loads, other, heavy);
+    if (cand && cand->fitness > base.fitness) {
       // Apply the swap directly on the chromosome: exchange the two genes.
       const ga::Gene g_small = ScheduleCodec::task_gene(small_slot);
       const ga::Gene g_big = ScheduleCodec::task_gene(big_slot);
@@ -108,12 +108,13 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
       }
       // The swapped flat schedule is exactly the decode of the swapped
       // chromosome, so `cand` is its full-pricing evaluation.
-      supply_evaluation(ws, cand);
+      supply_evaluation(ws, *cand);
       return true;
     }
     // Found a smaller task but the swap was not fitter: the chromosome is
-    // unchanged, so its evaluation is the base pricing. Undo the swap and
-    // the two re-priced queues so the workspace describes `c` again.
+    // unchanged, so its evaluation is the base pricing. Undo the swap, the
+    // two re-priced queues and any reduction so the workspace describes
+    // `c` again.
     std::swap(other_q[oi], heavy_q[hi]);
     undo.restore(ws.loads);
     supply_evaluation(ws, base);

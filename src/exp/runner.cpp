@@ -1,5 +1,8 @@
 #include "exp/runner.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "exp/registry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -35,7 +38,36 @@ sim::SimulationResult run_one(const Scenario& scenario,
                               scenario.cluster.num_processors, failure_rng);
     ecfg.failures = &trace;
   }
-  return sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
+  sim::SimulationResult result =
+      sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
+  check_run(result, scenario, scheduler, rep);
+  return result;
+}
+
+void check_run(const sim::SimulationResult& result, const Scenario& scenario,
+               const std::string& scheduler, std::size_t rep) {
+  auto fail = [&](const std::string& what) {
+    throw std::runtime_error("run_one: " + what + " (scenario '" +
+                             scenario.name + "', scheduler " + scheduler +
+                             ", seed " + std::to_string(scenario.seed) +
+                             ", replication " + std::to_string(rep) + ")");
+  };
+  if (result.tasks_completed != scenario.workload.count) {
+    fail(std::to_string(result.tasks_completed) + " of " +
+         std::to_string(scenario.workload.count) + " tasks completed");
+  }
+  const double eff = result.efficiency();
+  if (!(eff >= 0.0 && eff <= 1.0)) {
+    fail("efficiency " + std::to_string(eff) + " outside [0, 1]");
+  }
+  for (std::size_t j = 0; j < result.per_proc.size(); ++j) {
+    if (!(result.per_proc[j].busy_time <= result.makespan)) {
+      fail("processor " + std::to_string(j) + " busy " +
+           std::to_string(result.per_proc[j].busy_time) +
+           " s, longer than the makespan " + std::to_string(result.makespan) +
+           " s");
+    }
+  }
 }
 
 std::vector<sim::SimulationResult> run_replications(

@@ -38,10 +38,19 @@ metrics::CellSummary run_cell(const Scenario& scenario,
 /// Runs one replication index `rep` of the cell (exposed for tests).
 /// With `record_task_trace` the engine keeps the per-task placement
 /// trace (for Gantt rendering / timelines) — identical run otherwise.
+/// Every result passes check_run() before it is returned.
 sim::SimulationResult run_one(const Scenario& scenario,
                               const std::string& scheduler,
                               const SchedulerParams& params, std::size_t rep,
                               bool record_task_trace = false);
+
+/// The invariants every finished run satisfies, checked in every build:
+/// each of the scenario's workload.count tasks completed, efficiency lies
+/// in [0, 1], and no processor was busy longer than the makespan. Throws
+/// std::runtime_error naming the broken check, the scenario, the
+/// scheduler, the seed and the replication.
+void check_run(const sim::SimulationResult& result, const Scenario& scenario,
+               const std::string& scheduler, std::size_t rep);
 
 /// The scheduler-visible bound instance of replication `rep`: the same
 /// workload and cluster streams as run_one (so every scheduler's run in

@@ -93,6 +93,13 @@ class DiffIndex {
 void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
                                 Chromosome& c1, Chromosome& c2,
                                 util::Rng& rng) const {
+  apply_into_origin(a, b, c1, c2, rng);
+}
+
+ChildOrigins CycleCrossover::apply_into_origin(const Chromosome& a,
+                                               const Chromosome& b,
+                                               Chromosome& c1, Chromosome& c2,
+                                               util::Rng& rng) const {
   check_parents(a, b);
   const std::size_t n = a.size();
   // Which parent leads the first cycle is the only random choice; cycles
@@ -115,10 +122,12 @@ void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
     diff[d] = i;
     d += a[i] != b[i] ? 1 : 0;
   }
-  if (d == 0) return;
+  // Identical parents: both children are copies of a (and of b).
+  if (d == 0) return {ChildOrigin::kSameAsA, ChildOrigin::kSameAsA};
   const DiffIndex index(a, diff, d, sc.table);
   sc.walked.assign(d, 0);
   std::size_t cycles = 0;  // non-trivial cycles walked so far
+  std::size_t cycles_from_a = 0;
   for (std::size_t k = 0; k < d; ++k) {
     if (sc.walked[k]) continue;
     // Cycles before this one: the start - k agreeing positions ahead of
@@ -126,6 +135,7 @@ void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
     const std::size_t before = diff[k] - k + cycles;
     ++cycles;
     const bool from_a = first_from_a != ((before & 1u) != 0);
+    cycles_from_a += from_a ? 1 : 0;
     // A valid cycle visits each differing position at most once; a longer
     // walk means b repeats a gene and the walk would never close.
     std::size_t j = k;
@@ -146,6 +156,16 @@ void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
       }
     } while (j != k);
   }
+  // The parents differ, so c1 is a copy of a exactly when every cycle
+  // came from a (then c2 is b), a copy of b when none did (then c2 is a),
+  // and new to both otherwise.
+  if (cycles_from_a == cycles) {
+    return {ChildOrigin::kSameAsA, ChildOrigin::kSameAsB};
+  }
+  if (cycles_from_a == 0) {
+    return {ChildOrigin::kSameAsB, ChildOrigin::kSameAsA};
+  }
+  return {ChildOrigin::kNew, ChildOrigin::kNew};
 }
 
 namespace {

@@ -26,6 +26,8 @@ namespace {
 /// generation transitions swap the buffers so chromosome capacity is
 /// reused instead of reallocated.
 struct PopulationBuffer {
+  static constexpr std::size_t kNotCarried = static_cast<std::size_t>(-1);
+
   std::vector<Chromosome> chrom;
   std::vector<double> fitness;
   std::vector<double> objective;
@@ -34,21 +36,37 @@ struct PopulationBuffer {
   /// run; entries are null when the problem has no workspace). See
   /// GaProblem::Workspace::describes_chromosome.
   std::vector<std::unique_ptr<GaProblem::Workspace>> ws;
+  /// While this buffer breeds the next generation: the slot of the next
+  /// generation that took slot i's workspace, kNotCarried if none yet.
+  std::vector<std::size_t> carried_to;
 
   explicit PopulationBuffer(std::size_t n)
-      : chrom(n), fitness(n, 0.0), objective(n, 0.0), dirty(n, 1) {}
+      : chrom(n),
+        fitness(n, 0.0),
+        objective(n, 0.0),
+        dirty(n, 1),
+        carried_to(n, kNotCarried) {}
 
   /// Slot `i`, which already holds a copy of individual `src_i` of `src`,
-  /// becomes a clean copy: it takes the cached evaluation and moves the
-  /// improve workspace along. The slot's stale workspace goes back to
-  /// `src` in its place, no longer describing anything there.
+  /// becomes a clean copy: it takes the cached evaluation and the improve
+  /// state. The first copy of `src_i` takes its workspace, and the slot's
+  /// stale workspace goes back to `src` in its place, no longer
+  /// describing anything there. A later copy gets the first copy's state
+  /// through GaProblem::Workspace::copy_state_from.
   void adopt(std::size_t i, PopulationBuffer& src, std::size_t src_i) {
     fitness[i] = src.fitness[src_i];
     objective[i] = src.objective[src_i];
     dirty[i] = 0;
-    if (!ws.empty()) {
+    if (ws.empty()) return;
+    const std::size_t first = src.carried_to[src_i];
+    if (first == kNotCarried) {
       std::swap(ws[i], src.ws[src_i]);
       src.forget(src_i);
+      src.carried_to[src_i] = i;
+    } else if (ws[i] != nullptr) {
+      const GaProblem::Workspace& from = *ws[first];
+      ws[i]->describes_chromosome =
+          from.describes_chromosome && ws[i]->copy_state_from(from);
     }
   }
 
@@ -219,14 +237,29 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
   // A crossover child identical to a parent is a clean copy of it:
   // evaluation is pure, so the parent's cached evaluation (and decoded
   // improve state) is bit-identical to recomputing it. In a converged
-  // micro GA most children are such copies.
-  auto settle_child = [&](std::size_t i, std::size_t pa, std::size_t pb) {
+  // micro GA most children are such copies. An operator that reports the
+  // children's origin spares the comparisons; for kUnknown the engine
+  // compares itself.
+  auto origin_by_compare = [&](std::size_t i, std::size_t pa,
+                               std::size_t pb) {
+    if (next.chrom[i] == pop.chrom[pa]) return ChildOrigin::kSameAsA;
+    if (next.chrom[i] == pop.chrom[pb]) return ChildOrigin::kSameAsB;
+    return ChildOrigin::kNew;
+  };
+  auto settle_child = [&](std::size_t i, std::size_t pa, std::size_t pb,
+                          ChildOrigin origin) {
 #ifndef NDEBUG
     check_permutation(next.chrom[i], pop.chrom[pa], "crossover");
+    if (origin != ChildOrigin::kUnknown &&
+        origin != origin_by_compare(i, pa, pb)) {
+      throw std::logic_error("GaEngine: " + crossover_.name() +
+                             " crossover reported a wrong child origin");
+    }
 #endif
-    if (next.chrom[i] == pop.chrom[pa]) {
+    if (origin == ChildOrigin::kUnknown) origin = origin_by_compare(i, pa, pb);
+    if (origin == ChildOrigin::kSameAsA) {
       next.adopt(i, pop, pa);
-    } else if (next.chrom[i] == pop.chrom[pb]) {
+    } else if (origin == ChildOrigin::kSameAsB) {
       next.adopt(i, pop, pb);
     } else {
       next.dirty[i] = 1;
@@ -246,14 +279,17 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
     // --- selection: breed the next generation from fitness weights ------
     selection_.select_into(pop.fitness, P, rng, parents);
+    std::fill(pop.carried_to.begin(), pop.carried_to.end(),
+              PopulationBuffer::kNotCarried);
     for (std::size_t i = 0; i + 1 < parents.size(); i += 2) {
       const std::size_t pa = parents[i];
       const std::size_t pb = parents[i + 1];
       if (rng.bernoulli(cfg_.crossover_rate)) {
-        crossover_.apply_into(pop.chrom[pa], pop.chrom[pb], next.chrom[i],
-                              next.chrom[i + 1], rng);
-        settle_child(i, pa, pb);
-        settle_child(i + 1, pa, pb);
+        const ChildOrigins origin = crossover_.apply_into_origin(
+            pop.chrom[pa], pop.chrom[pb], next.chrom[i], next.chrom[i + 1],
+            rng);
+        settle_child(i, pa, pb, origin.first);
+        settle_child(i + 1, pa, pb, origin.second);
       } else {
         // Survivors keep their parents' cached evaluations.
         next.copy_from(i, pop, pa);

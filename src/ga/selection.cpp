@@ -33,13 +33,6 @@ double prefix_sums(std::span<const double> fitness, std::vector<double>& out) {
   return acc;
 }
 
-std::size_t locate(const std::vector<double>& prefix, double target) {
-  const auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
-  return static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - prefix.begin(),
-                               static_cast<std::ptrdiff_t>(prefix.size()) - 1));
-}
-
 /// Shared roulette-wheel core used by roulette and rank selection.
 void roulette_into(std::span<const double> fitness, std::size_t count,
                    util::Rng& rng, std::vector<std::size_t>& out) {
@@ -52,12 +45,23 @@ void roulette_into(std::span<const double> fitness, std::size_t count,
     if (total <= 0.0) {
       out.push_back(rng.index(fitness.size()));
     } else {
-      out.push_back(locate(prefix, rng.uniform(0.0, total)));
+      out.push_back(roulette_locate(prefix, rng.uniform(0.0, total)));
     }
   }
 }
 
 }  // namespace
+
+std::size_t roulette_locate(std::span<const double> prefix, double target) {
+  // Prefix sums of non-negative weights never decrease, so the entries
+  // with !(target < p) form a prefix of the array and counting them gives
+  // std::upper_bound's index — without its data-dependent branches. (A NaN
+  // weight makes the total and hence the target NaN: then no entry
+  // satisfies target < p, the count is the size, as upper_bound's end().)
+  std::size_t k = 0;
+  for (const double p : prefix) k += !(target < p) ? 1 : 0;
+  return std::min(k, prefix.size() - 1);
+}
 
 std::vector<std::size_t> RouletteSelection::select(
     std::span<const double> fitness, std::size_t count, util::Rng& rng) const {
@@ -156,7 +160,7 @@ void SusSelection::select_into(std::span<const double> fitness,
   const double step = total / static_cast<double>(count);
   double pointer = rng.uniform(0.0, step);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(locate(prefix, pointer));
+    out.push_back(roulette_locate(prefix, pointer));
     pointer += step;
   }
 }

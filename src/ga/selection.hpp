@@ -33,6 +33,12 @@ class SelectionOp {
   virtual std::string name() const = 0;
 };
 
+/// Index of the roulette slot `target` falls in: the first i with
+/// target < prefix[i] (std::upper_bound over the non-decreasing prefix
+/// sums of non-negative weights), clamped to the last slot. Requires a
+/// non-empty `prefix`.
+std::size_t roulette_locate(std::span<const double> prefix, double target);
+
 /// Weighted roulette wheel (fitness-proportionate) selection: individual i
 /// occupies a slot of size ς_i = F_i / Σ_j F_j (paper §3.3).
 class RouletteSelection final : public SelectionOp {

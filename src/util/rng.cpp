@@ -13,27 +13,9 @@ std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& w : s_) w = splitmix64_next(sm);
-}
-
-Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256StarStar::long_jump() noexcept {
@@ -66,7 +48,7 @@ Rng Rng::split(std::uint64_t stream) const noexcept {
   std::uint64_t s = seed_ ^ (0xA0761D6478BD642FULL + stream);
   const std::uint64_t a = splitmix64_next(s);
   const std::uint64_t b = splitmix64_next(s);
-  return Rng(a ^ rotl(b, 23) ^ stream);
+  return Rng(a ^ detail::rotl(b, 23) ^ stream);
 }
 
 std::uint64_t Rng::next_u64() noexcept { return gen_(); }
@@ -156,11 +138,6 @@ std::uint64_t Rng::poisson(double mean) noexcept {
     const double rhs = k * std::log(mean) - mean - std::lgamma(k + 1.0);
     if (log_v <= rhs) return static_cast<std::uint64_t>(k);
   }
-}
-
-std::size_t Rng::index(std::size_t n) noexcept {
-  return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(n) - 1));
 }
 
 bool Rng::bernoulli(double p) noexcept {

@@ -8,11 +8,20 @@
 // `Rng::split`, so results are bit-reproducible regardless of the number
 // of worker threads used to execute them.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 namespace gasched::util {
+
+namespace detail {
+/// 64-bit left rotation by k in [1, 63].
+constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  return (x << k) | (x >> (64 - k));
+}
+}  // namespace detail
 
 /// SplitMix64 step: used for seeding and stream derivation.
 /// Returns the next value of the SplitMix64 sequence and advances `state`.
@@ -39,7 +48,17 @@ class Xoshiro256StarStar {
   }
 
   /// Generates the next 64 random bits.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = detail::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Equivalent to 2^128 calls to operator(); used to derive
   /// non-overlapping parallel streams.
@@ -48,6 +67,54 @@ class Xoshiro256StarStar {
  private:
   std::uint64_t s_[4];
 };
+
+namespace detail {
+
+#ifdef __SIZEOF_INT128__
+/// Largest n served by the division-free Rng::index path. Every draw the
+/// paper's GA makes fits: M = 50 processors, population 20, chromosome
+/// length H + M − 1 ≤ 249.
+inline constexpr std::size_t kIndexTableMax = 256;
+
+/// Per-n constants of Rng::index: the rejection limit uniform_int
+/// computes with a division on every call, and the magic number of
+/// Lemire, Kaser & Kurz's direct remainder ("Faster Remainder by Direct
+/// Computation", 2019): magic = ⌊(2^128 − 1) / n⌋ + 1, which makes
+/// fastmod(x, magic, n) == x % n for every 64-bit x.
+struct IndexConstants {
+  std::uint64_t limit = 0;  ///< draws >= limit are rejected
+  unsigned __int128 magic = 0;
+};
+
+/// x % n without a division (Lemire, Kaser & Kurz, fastmod_u64): the
+/// low 128 bits of magic · x are the fraction x / n, and multiplying that
+/// fraction by n leaves the remainder in the top bits. Exact for every x
+/// when magic = ⌊(2^128 − 1) / n⌋ + 1 (n = 1 wraps magic to 0, giving 0).
+constexpr std::uint64_t fastmod(std::uint64_t x, unsigned __int128 magic,
+                                std::uint64_t n) noexcept {
+  const unsigned __int128 frac = magic * x;
+  const unsigned __int128 lo = static_cast<std::uint64_t>(frac);
+  const unsigned __int128 hi = frac >> 64;
+  return static_cast<std::uint64_t>((((lo * n) >> 64) + hi * n) >> 64);
+}
+
+constexpr std::array<IndexConstants, kIndexTableMax + 1> make_index_table() {
+  std::array<IndexConstants, kIndexTableMax + 1> t{};
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (std::uint64_t n = 1; n <= kIndexTableMax; ++n) {
+    t[n].limit = kMax - kMax % n;
+    t[n].magic = ~static_cast<unsigned __int128>(0) / n + 1;
+  }
+  return t;
+}
+
+/// Constant-initialized (no dynamic initializer), so Rng::index is safe
+/// to call during other translation units' static initialization.
+inline constexpr std::array<IndexConstants, kIndexTableMax + 1> kIndexTable =
+    make_index_table();
+#endif
+
+}  // namespace detail
 
 /// High-level RNG facade with portable, reproducible samplers.
 ///
@@ -75,7 +142,9 @@ class Rng {
   double uniform(double lo, double hi) noexcept;
 
   /// Uniform integer in the closed range [lo, hi]. Requires lo <= hi.
-  /// Uses Lemire-style rejection to avoid modulo bias.
+  /// Avoids modulo bias by rejection: with range = hi − lo + 1, draws at
+  /// or above the largest multiple of range representable in 64 bits are
+  /// redrawn, and the result is lo + draw % range.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Standard normal deviate (Box–Muller, both values used).
@@ -98,7 +167,27 @@ class Rng {
   std::uint64_t poisson(double mean) noexcept;
 
   /// Random index in [0, n). Requires n > 0.
-  std::size_t index(std::size_t n) noexcept;
+  ///
+  /// Exactly uniform_int(0, n − 1): the same value from the same draws,
+  /// consuming the same number of raw draws, for every stream and every
+  /// n. For n ≤ detail::kIndexTableMax (compilers with 128-bit integers)
+  /// the rejection limit comes from a compile-time table and the
+  /// remainder from detail::fastmod, so the draw costs no division;
+  /// larger n take uniform_int itself.
+  std::size_t index(std::size_t n) noexcept {
+#ifdef __SIZEOF_INT128__
+    if (n - 1 < detail::kIndexTableMax) {
+      const detail::IndexConstants& k = detail::kIndexTable[n];
+      std::uint64_t draw;
+      do {
+        draw = gen_();
+      } while (draw >= k.limit);
+      return static_cast<std::size_t>(detail::fastmod(draw, k.magic, n));
+    }
+#endif
+    return static_cast<std::size_t>(
+        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
 
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace gasched::exp {
 namespace {
 
@@ -165,6 +169,65 @@ TEST(Runner, UnknownSchedulerThrowsBeforeRunning) {
   const Scenario s = small_scenario();
   EXPECT_THROW(run_replications(s, "NOPE", quick_opts()),
                std::runtime_error);
+}
+
+// --- run_one's always-on result checks --------------------------------------
+
+/// Runs check_run on `r` and returns the error text ("" when it passes).
+std::string check_error(const sim::SimulationResult& r, const Scenario& s) {
+  try {
+    check_run(r, s, "EF", 2);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunCheck, AcceptsAGenuineResult) {
+  const Scenario s = small_scenario();
+  EXPECT_EQ(check_error(run_one(s, "EF", {}, 2), s), "");
+}
+
+TEST(RunCheck, MissingTaskNamesTheRun) {
+  const Scenario s = small_scenario();
+  sim::SimulationResult r = run_one(s, "EF", {}, 2);
+  r.tasks_completed -= 1;
+  const std::string err = check_error(r, s);
+  EXPECT_NE(err.find("119 of 120 tasks completed"), std::string::npos) << err;
+  EXPECT_NE(err.find("scenario 'test'"), std::string::npos) << err;
+  EXPECT_NE(err.find("scheduler EF"), std::string::npos) << err;
+  EXPECT_NE(err.find("seed 7"), std::string::npos) << err;
+  EXPECT_NE(err.find("replication 2"), std::string::npos) << err;
+}
+
+TEST(RunCheck, EfficiencyOutsideUnitInterval) {
+  const Scenario s = small_scenario();
+  const sim::SimulationResult genuine = run_one(s, "EF", {}, 2);
+  sim::SimulationResult r = genuine;
+  for (auto& p : r.per_proc) p.busy_time = 2.0 * r.makespan;  // reads 2
+  EXPECT_NE(check_error(r, s).find("efficiency 2.000000 outside [0, 1]"),
+            std::string::npos)
+      << check_error(r, s);
+  r = genuine;
+  r.per_proc[0].busy_time = -1e12;  // negative
+  EXPECT_NE(check_error(r, s).find("efficiency"), std::string::npos);
+  r = genuine;
+  r.per_proc[0].busy_time = std::nan("");
+  EXPECT_NE(check_error(r, s).find("efficiency"), std::string::npos);
+}
+
+TEST(RunCheck, ProcessorBusyLongerThanMakespan) {
+  const Scenario s = small_scenario();
+  sim::SimulationResult r = run_one(s, "EF", {}, 2);
+  ASSERT_GE(r.per_proc.size(), 2u);
+  // Keep efficiency inside [0, 1]: move busy time from processor 0 onto
+  // processor 1 until it exceeds the makespan.
+  const double excess = r.makespan - r.per_proc[1].busy_time + 1.0;
+  r.per_proc[1].busy_time += excess;
+  r.per_proc[0].busy_time = 0.0;
+  ASSERT_LE(r.efficiency(), 1.0);
+  const std::string err = check_error(r, s);
+  EXPECT_NE(err.find("processor 1 busy"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -321,6 +323,116 @@ TEST(CarriedState, ZoShapeMatchesAndSkipsCopyChildren) {
   const std::size_t gens = carry.result.generations;
   ASSERT_GT(gens, 0u);
   EXPECT_LT(carry.result.evaluations, 20 + carry.children - gens);
+}
+
+/// Forwards to a ScheduleProblem and checks, before every improve() that
+/// starts from a carried workspace, that the workspace holds exactly the
+/// fresh decode + pricing of the chromosome — bit for bit.
+class CheckingCarryProblem final : public GaProblem {
+ public:
+  CheckingCarryProblem(const core::ScheduleProblem& inner,
+                       const BatchFixture& f)
+      : inner_(inner), f_(f) {}
+  double fitness(const Chromosome& c) const override {
+    return inner_.fitness(c);
+  }
+  double objective(const Chromosome& c) const override {
+    return inner_.objective(c);
+  }
+  Evaluation evaluate(const Chromosome& c, Workspace* ws) const override {
+    return inner_.evaluate(c, ws);
+  }
+  std::unique_ptr<Workspace> make_workspace() const override {
+    return inner_.make_workspace();
+  }
+  bool improve(Chromosome& c, util::Rng& rng, Workspace* ws) const override {
+    ++calls;
+    if (ws != nullptr && ws->describes_chromosome) {
+      ++described;
+      if (!describes(static_cast<const core::EvalWorkspace&>(*ws), c)) {
+        ++mismatches;
+      }
+    }
+    return inner_.improve(c, rng, ws);
+  }
+
+  mutable std::size_t calls = 0;
+  mutable std::size_t described = 0;
+  mutable std::size_t mismatches = 0;
+
+ private:
+  static bool same(const std::vector<double>& x, const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  }
+  static bool same(double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  bool describes(const core::EvalWorkspace& w, const Chromosome& c) const {
+    core::FlatSchedule fresh;
+    core::QueueLoads loads;
+    f_.codec.decode_into(c, fresh);
+    f_.eval.load(fresh, loads);
+    return w.schedule == fresh && same(w.loads.completion, loads.completion) &&
+           same(w.loads.dev_sq, loads.dev_sq) &&
+           same(w.loads.sum_sq, loads.sum_sq) &&
+           same(w.loads.max_completion, loads.max_completion) &&
+           w.loads.heaviest == loads.heaviest &&
+           same(w.loads.eval.fitness, loads.eval.fitness) &&
+           same(w.loads.eval.makespan, loads.eval.makespan) &&
+           same(w.loads.eval.relative_error, loads.eval.relative_error);
+  }
+
+  const core::ScheduleProblem& inner_;
+  const BatchFixture& f_;
+};
+
+TEST(CarriedState, RepeatCopiesStartFromACopiedWorkspace) {
+  // Repeat copies of one parent get the first copy's decoded state
+  // (Workspace::copy_state_from) instead of a stale workspace: every
+  // carried start must be exactly a fresh decode + load. On this PN-shape
+  // run 50% of re-balance calls start carried (37% when only the first
+  // copy carried its state).
+  const BatchFixture f(50, 50, true, 33);
+  const core::ScheduleProblem problem(f.codec, f.eval);
+  const CheckingCarryProblem checking(problem, f);
+  const NoWorkspaceProblem plain(problem);
+  const CarryRun carry = run_batch(f, checking, 1);
+  const CarryRun reference = run_batch(f, plain, 1);
+  expect_same_run(carry, reference);
+  EXPECT_EQ(checking.mismatches, 0u);
+  ASSERT_GT(checking.calls, 0u);
+  EXPECT_GT(static_cast<double>(checking.described) /
+                static_cast<double>(checking.calls),
+            0.45);
+}
+
+TEST(CarriedState, ReportedOriginsMatchTheComparingPath) {
+  // CycleCrossover reports its children's origins, so the engine skips
+  // comparing them with the parents; CountingCrossover reports nothing,
+  // so the engine compares. Both runs must be identical, at both shapes.
+  for (const std::size_t passes : {std::size_t{1}, std::size_t{0}}) {
+    const BatchFixture f(passes == 1 ? 50 : 200, 50, passes == 1, 34);
+    const core::ScheduleProblem problem(f.codec, f.eval);
+    const CarryRun comparing = run_batch(f, problem, passes);
+    GaConfig cfg;
+    cfg.population = 20;
+    cfg.max_generations = 200;
+    cfg.improvement_passes = passes;
+    cfg.record_history = true;
+    static const RouletteSelection sel;
+    static const SwapMutation mut;
+    static const CycleCrossover cx;
+    util::Rng init_rng(21);
+    auto init = core::initial_population(f.codec, f.eval, cfg.population, 0.5,
+                                         init_rng);
+    util::Rng ga_rng(22);
+    CarryRun reporting;
+    reporting.result = GaEngine(cfg, sel, cx, mut).run(
+        problem, std::move(init), ga_rng, {}, &reporting.final_population);
+    expect_same_run(reporting, comparing);
+    EXPECT_EQ(reporting.result.evaluations, comparing.result.evaluations);
+  }
 }
 
 TEST(ParallelEval, ThresholdKeepsMicroGaSerial) {

@@ -259,5 +259,124 @@ TEST(Crossover, ProducesNovelOffspringOnDifferentParents) {
   }
 }
 
+// --- child origin reports ---------------------------------------------------
+
+/// The truth the engine used to compute itself: compare with the parents,
+/// a first.
+ChildOrigin origin_by_compare(const Chromosome& child, const Chromosome& a,
+                              const Chromosome& b) {
+  if (child == a) return ChildOrigin::kSameAsA;
+  if (child == b) return ChildOrigin::kSameAsB;
+  return ChildOrigin::kNew;
+}
+
+/// apply_into_origin must breed exactly what apply_into breeds, draw for
+/// draw, and its reported origins must equal the comparison truth.
+/// Returns the reported origins for coverage counting.
+ChildOrigins expect_origin_truth(const CrossoverOp& op, const Chromosome& a,
+                                 const Chromosome& b, std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::Rng rng_plain(seed);
+  Chromosome c1, c2, p1, p2;
+  const ChildOrigins o = op.apply_into_origin(a, b, c1, c2, rng);
+  op.apply_into(a, b, p1, p2, rng_plain);
+  EXPECT_EQ(c1, p1) << op.name() << " seed " << seed;
+  EXPECT_EQ(c2, p2) << op.name() << " seed " << seed;
+  EXPECT_EQ(rng.next_u64(), rng_plain.next_u64()) << "rng state diverged";
+  if (o.first != ChildOrigin::kUnknown) {
+    EXPECT_EQ(o.first, origin_by_compare(c1, a, b)) << "seed " << seed;
+  }
+  if (o.second != ChildOrigin::kUnknown) {
+    EXPECT_EQ(o.second, origin_by_compare(c2, a, b)) << "seed " << seed;
+  }
+  return o;
+}
+
+TEST(CycleCrossoverOrigin, MatchesComparisonOnConvergedAndRandomParents) {
+  CycleCrossover cx;
+  util::Rng rng(21);
+  int same_a = 0, same_b = 0, fresh = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.index(250);
+    Chromosome a = trial % 3 == 0 ? schedule_like(n, rng.index(50), rng)
+                                  : iota_chromosome(n);
+    rng.shuffle(a);
+    Chromosome b = a;
+    if (trial % 7 == 0) {
+      rng.shuffle(b);  // unrelated parents: many cycles
+    } else {
+      // Converged parents: 0..3 transpositions, so one or two cycles
+      // and identical parents come up often.
+      for (std::size_t s = rng.index(4); s > 0; --s) {
+        std::swap(b[rng.index(b.size())], b[rng.index(b.size())]);
+      }
+    }
+    const ChildOrigins o =
+        expect_origin_truth(cx, a, b, 30000 + static_cast<std::uint64_t>(trial));
+    ASSERT_NE(o.first, ChildOrigin::kUnknown);
+    ASSERT_NE(o.second, ChildOrigin::kUnknown);
+    for (const ChildOrigin x : {o.first, o.second}) {
+      same_a += x == ChildOrigin::kSameAsA ? 1 : 0;
+      same_b += x == ChildOrigin::kSameAsB ? 1 : 0;
+      fresh += x == ChildOrigin::kNew ? 1 : 0;
+    }
+  }
+  EXPECT_GT(same_a, 100);
+  EXPECT_GT(same_b, 100);
+  EXPECT_GT(fresh, 100);
+}
+
+TEST(CycleCrossoverOrigin, IdenticalParentsAreCopiesOfA) {
+  CycleCrossover cx;
+  util::Rng rng(22);
+  for (const std::size_t n : {1, 2, 99, 249}) {
+    Chromosome a = iota_chromosome(n);
+    rng.shuffle(a);
+    const ChildOrigins o = expect_origin_truth(cx, a, a, n);
+    EXPECT_EQ(o.first, ChildOrigin::kSameAsA);
+    EXPECT_EQ(o.second, ChildOrigin::kSameAsA);
+  }
+}
+
+TEST(CycleCrossoverOrigin, SingleTranspositionFollowsTheCycleOwner) {
+  // One transposition is one 2-cycle: the children are the parents, in
+  // order or swapped, depending on the single ownership draw.
+  CycleCrossover cx;
+  const Chromosome a{0, 1, 2, 3, 4, 5};
+  const Chromosome b{0, 1, 4, 3, 2, 5};
+  bool saw_in_order = false, saw_swapped = false;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    const ChildOrigins o = expect_origin_truth(cx, a, b, seed);
+    if (o.first == ChildOrigin::kSameAsA) {
+      EXPECT_EQ(o.second, ChildOrigin::kSameAsB);
+      saw_in_order = true;
+    } else {
+      EXPECT_EQ(o.first, ChildOrigin::kSameAsB);
+      EXPECT_EQ(o.second, ChildOrigin::kSameAsA);
+      saw_swapped = true;
+    }
+  }
+  EXPECT_TRUE(saw_in_order);
+  EXPECT_TRUE(saw_swapped);
+}
+
+TEST(CrossoverOrigin, OperatorsWithoutAReportSayUnknown) {
+  util::Rng rng(23);
+  for (const OpFactory& op : {OpFactory(std::make_shared<PmxCrossover>()),
+                              OpFactory(std::make_shared<OrderCrossover>()),
+                              OpFactory(std::make_shared<PositionCrossover>())}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Chromosome a = iota_chromosome(40);
+      Chromosome b = a;
+      rng.shuffle(a);
+      rng.shuffle(b);
+      const ChildOrigins o = expect_origin_truth(
+          *op, a, b, 40000 + static_cast<std::uint64_t>(trial));
+      EXPECT_EQ(o.first, ChildOrigin::kUnknown) << op->name();
+      EXPECT_EQ(o.second, ChildOrigin::kUnknown) << op->name();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gasched::ga

@@ -368,6 +368,44 @@ class OverwritingMutation final : public MutationOp {
   std::string name() const override { return "overwriting"; }
 };
 
+/// Cycle crossover that claims both children are copies of a.
+class MisreportingCrossover final : public CrossoverOp {
+ public:
+  void apply_into(const Chromosome& a, const Chromosome& b, Chromosome& c1,
+                  Chromosome& c2, util::Rng& rng) const override {
+    cx_.apply_into(a, b, c1, c2, rng);
+  }
+  ChildOrigins apply_into_origin(const Chromosome& a, const Chromosome& b,
+                                 Chromosome& c1, Chromosome& c2,
+                                 util::Rng& rng) const override {
+    cx_.apply_into(a, b, c1, c2, rng);
+    return {ChildOrigin::kSameAsA, ChildOrigin::kSameAsA};
+  }
+  std::string name() const override { return "misreporting"; }
+
+ private:
+  CycleCrossover cx_;
+};
+
+TEST(GaEngine, DebugBuildsRejectAWrongChildOrigin) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the origin check is compiled out of release builds";
+#else
+  GaConfig cfg;
+  cfg.population = 6;
+  cfg.max_generations = 20;
+  cfg.crossover_rate = 1.0;
+  static const RouletteSelection sel;
+  static const SwapMutation swap;
+  const MisreportingCrossover liar;
+  SortProblem problem;
+  util::Rng rng(16);
+  const auto pop = random_population(6, 8, rng);
+  EXPECT_THROW(GaEngine(cfg, sel, liar, swap).run(problem, pop, rng),
+               std::logic_error);
+#endif
+}
+
 TEST(GaEngine, DebugBuildsRejectBreedingThatBreaksTheGeneSet) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the breeding invariant is compiled out of release builds";

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -152,6 +155,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_shared<TournamentSelection>(4),
                       std::make_shared<RankSelection>(),
                       std::make_shared<SusSelection>()));
+
+/// The binary search roulette_locate replaced.
+std::size_t upper_bound_locate(const std::vector<double>& prefix,
+                               double target) {
+  const auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
+  return std::min<std::size_t>(static_cast<std::size_t>(it - prefix.begin()),
+                               prefix.size() - 1);
+}
+
+TEST(RouletteLocate, MatchesUpperBound) {
+  util::Rng rng(31);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + rng.index(40);
+    std::vector<double> prefix(n);
+    double acc = 0.0;
+    for (auto& p : prefix) {
+      // Zero-fitness entries (repeated prefix values) are common.
+      acc += rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 2.0);
+      p = acc;
+    }
+    std::vector<double> targets = {0.0, acc, acc * 2.0 + 1.0, -1.0,
+                                   std::nan("")};
+    for (const double p : prefix) {
+      targets.push_back(p);
+      targets.push_back(std::nextafter(p, -1.0));
+      targets.push_back(std::nextafter(p, 1e300));
+    }
+    for (int k = 0; k < 8; ++k) targets.push_back(rng.uniform(0.0, acc));
+    for (const double t : targets) {
+      ASSERT_EQ(roulette_locate(prefix, t), upper_bound_locate(prefix, t))
+          << "trial " << trial << " target " << t;
+    }
+  }
+}
+
+TEST(RouletteLocate, AllZeroAndInfiniteWeights) {
+  const std::vector<double> zeros(7, 0.0);
+  for (const double t : {0.0, -0.5, 0.5}) {
+    EXPECT_EQ(roulette_locate(zeros, t), upper_bound_locate(zeros, t));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> with_inf = {1.0, 2.0, inf, inf};
+  for (const double t : {0.5, 2.0, 3.0, inf, std::nan("")}) {
+    EXPECT_EQ(roulette_locate(with_inf, t), upper_bound_locate(with_inf, t));
+  }
+}
 
 }  // namespace
 }  // namespace gasched::ga
