@@ -182,15 +182,6 @@ class ScheduleEvaluator {
 struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
-
-  /// Carried state for repeat copies: the decode and the per-queue loads
-  /// (buffer capacity is reused, so steady state allocates nothing).
-  bool copy_state_from(const ga::GaProblem::Workspace& other) override {
-    const auto& o = static_cast<const EvalWorkspace&>(other);
-    schedule = o.schedule;
-    loads = o.loads;
-    return true;
-  }
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.

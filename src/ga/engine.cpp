@@ -26,8 +26,6 @@ namespace {
 /// generation transitions swap the buffers so chromosome capacity is
 /// reused instead of reallocated.
 struct PopulationBuffer {
-  static constexpr std::size_t kNotCarried = static_cast<std::size_t>(-1);
-
   std::vector<Chromosome> chrom;
   std::vector<double> fitness;
   std::vector<double> objective;
@@ -36,37 +34,21 @@ struct PopulationBuffer {
   /// run; entries are null when the problem has no workspace). See
   /// GaProblem::Workspace::describes_chromosome.
   std::vector<std::unique_ptr<GaProblem::Workspace>> ws;
-  /// While this buffer breeds the next generation: the slot of the next
-  /// generation that took slot i's workspace, kNotCarried if none yet.
-  std::vector<std::size_t> carried_to;
 
   explicit PopulationBuffer(std::size_t n)
-      : chrom(n),
-        fitness(n, 0.0),
-        objective(n, 0.0),
-        dirty(n, 1),
-        carried_to(n, kNotCarried) {}
+      : chrom(n), fitness(n, 0.0), objective(n, 0.0), dirty(n, 1) {}
 
   /// Slot `i`, which already holds a copy of individual `src_i` of `src`,
-  /// becomes a clean copy: it takes the cached evaluation and the improve
-  /// state. The first copy of `src_i` takes its workspace, and the slot's
-  /// stale workspace goes back to `src` in its place, no longer
-  /// describing anything there. A later copy gets the first copy's state
-  /// through GaProblem::Workspace::copy_state_from.
+  /// becomes a clean copy: it takes the cached evaluation and moves the
+  /// improve workspace along. The slot's stale workspace goes back to
+  /// `src` in its place, no longer describing anything there.
   void adopt(std::size_t i, PopulationBuffer& src, std::size_t src_i) {
     fitness[i] = src.fitness[src_i];
     objective[i] = src.objective[src_i];
     dirty[i] = 0;
-    if (ws.empty()) return;
-    const std::size_t first = src.carried_to[src_i];
-    if (first == kNotCarried) {
+    if (!ws.empty()) {
       std::swap(ws[i], src.ws[src_i]);
       src.forget(src_i);
-      src.carried_to[src_i] = i;
-    } else if (ws[i] != nullptr) {
-      const GaProblem::Workspace& from = *ws[first];
-      ws[i]->describes_chromosome =
-          from.describes_chromosome && ws[i]->copy_state_from(from);
     }
   }
 
@@ -279,8 +261,6 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
     // --- selection: breed the next generation from fitness weights ------
     selection_.select_into(pop.fitness, P, rng, parents);
-    std::fill(pop.carried_to.begin(), pop.carried_to.end(),
-              PopulationBuffer::kNotCarried);
     for (std::size_t i = 0; i + 1 < parents.size(); i += 2) {
       const std::size_t pa = parents[i];
       const std::size_t pb = parents[i + 1];

@@ -69,9 +69,8 @@ class GaProblem {
 
     /// Carried improve state. When improvement passes are on, the engine
     /// keeps one workspace per population slot for improve() and moves it
-    /// with the first clean copy of an individual (a survivor, or a
-    /// crossover child identical to a parent; later copies: see
-    /// copy_state_from). The engine — never the problem —
+    /// with every clean copy of an individual (a survivor, or a crossover
+    /// child identical to a parent). The engine — never the problem —
     /// sets this flag before improve() when the workspace still holds what
     /// the previous improve() call left for exactly this chromosome, and
     /// clears it for new chromosomes (crossover children, mutation
@@ -83,19 +82,6 @@ class GaProblem {
     /// reusing the state is bit-identical to rebuilding it. Problems that
     /// ignore the flag need not maintain anything.
     bool describes_chromosome = false;
-
-    /// Carried state for repeat copies. When one generation copies the
-    /// same individual into several slots, the first copy takes its
-    /// workspace and the engine asks each later copy's workspace to copy
-    /// that state; on true it sets describes_chromosome exactly as for
-    /// the first copy. `other` was made by the same problem's
-    /// make_workspace(). Contract: after returning true this workspace
-    /// must be indistinguishable, to improve(), from `other`. The default
-    /// keeps no state and returns false (the copy is rebuilt instead).
-    virtual bool copy_state_from(const Workspace& other) {
-      (void)other;
-      return false;
-    }
   };
 
   virtual ~GaProblem() = default;

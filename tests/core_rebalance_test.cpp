@@ -240,38 +240,6 @@ TEST(RebalanceWorkspace, CarriedWorkspaceMatchesFreshDecode) {
   EXPECT_GT(unchanged, 0);
 }
 
-TEST(RebalanceWorkspace, CopiedWorkspaceMatchesFreshDecode) {
-  // The engine's repeat-copy carry: a workspace that copied another's
-  // state must hold exactly a fresh decode_into + load of the chromosome,
-  // and re-balance from it exactly as from a fresh workspace.
-  util::Rng rng(10);
-  const std::size_t H = 50, M = 7;
-  std::vector<double> sizes;
-  for (std::size_t i = 0; i < H; ++i) sizes.push_back(rng.uniform(10.0, 500.0));
-  const ScheduleCodec codec(H, M);
-  const ScheduleEvaluator eval(sizes, make_view({10, 15, 20, 30, 45, 60, 90}),
-                               false);
-  EvalWorkspace source;
-  EvalWorkspace copy;
-  for (int trial = 0; trial < 50; ++trial) {
-    ga::Chromosome c = random_chromosome(H, M, rng);
-    // The source describes c after one pass (accepted or not).
-    source.describes_chromosome = false;
-    rebalance_once(c, codec, eval, rng, 5, source);
-    ASSERT_TRUE(copy.copy_state_from(source));
-    expect_describes(copy, codec, eval, c);
-    ga::Chromosome c_copy = c;
-    ga::Chromosome c_fresh = c;
-    util::Rng rng_fresh = rng;
-    copy.describes_chromosome = true;
-    EvalWorkspace fresh;
-    ASSERT_EQ(rebalance_once(c_copy, codec, eval, rng, 5, copy),
-              rebalance_once(c_fresh, codec, eval, rng_fresh, 5, fresh));
-    ASSERT_EQ(c_copy, c_fresh);
-    ASSERT_EQ(rng.next_u64(), rng_fresh.next_u64());
-  }
-}
-
 /// rebalance_once as it was before the filtered probe: every candidate is
 /// reduced in full (evaluate_swap) before the fitness comparison.
 bool rebalance_always_reduce(ga::Chromosome& c, const ScheduleCodec& codec,

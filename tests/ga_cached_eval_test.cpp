@@ -387,12 +387,10 @@ class CheckingCarryProblem final : public GaProblem {
   const BatchFixture& f_;
 };
 
-TEST(CarriedState, RepeatCopiesStartFromACopiedWorkspace) {
-  // Repeat copies of one parent get the first copy's decoded state
-  // (Workspace::copy_state_from) instead of a stale workspace: every
-  // carried start must be exactly a fresh decode + load. On this PN-shape
-  // run 50% of re-balance calls start carried (37% when only the first
-  // copy carried its state).
+TEST(CarriedState, CarriedStartsHoldAFreshDecode) {
+  // Every re-balance call that starts from a carried workspace must find
+  // exactly a fresh decode + load of its chromosome there. On this
+  // PN-shape run 37% of re-balance calls start carried.
   const BatchFixture f(50, 50, true, 33);
   const core::ScheduleProblem problem(f.codec, f.eval);
   const CheckingCarryProblem checking(problem, f);
@@ -404,7 +402,7 @@ TEST(CarriedState, RepeatCopiesStartFromACopiedWorkspace) {
   ASSERT_GT(checking.calls, 0u);
   EXPECT_GT(static_cast<double>(checking.described) /
                 static_cast<double>(checking.calls),
-            0.45);
+            0.3);
 }
 
 TEST(CarriedState, ReportedOriginsMatchTheComparingPath) {
