@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("abl-batch", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("abl-batch", p.scale, spec, /*mean_comm=*/10.0);
   sweep.scheduler("PN");
 
   std::vector<exp::Sweep::Value> policies;

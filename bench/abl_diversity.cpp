@@ -10,9 +10,6 @@
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
-#include "sim/cluster.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -26,9 +23,8 @@ int main(int argc, char** argv) {
       "near-large-population quality at a fraction of the cost",
       p);
 
-  exp::WorkloadSpec spec;  // GA-batch study: sizes drawn directly below
-  exp::Sweep sweep =
-      bench::make_sweep("abl-diversity", p, spec, /*mean_comm=*/20.0);
+  // GA-batch cells (exp::run_ga_batch_study) need no base scenario.
+  exp::Sweep sweep("abl-diversity");
   sweep.axis("population", {6, 10, 20, 40, 80}, {});
   sweep.extra_columns({"diversity_t0", "diversity_mid", "diversity_end",
                        "final_makespan"});
@@ -36,40 +32,22 @@ int main(int argc, char** argv) {
     const std::size_t pi = cell.index;
     const auto pop = static_cast<std::size_t>(
         cell.coord_value("population"));
-    std::vector<double> d0(p.reps), dmid(p.reps), dend(p.reps),
-        finals(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      util::Rng cluster_rng = base.split(2 * rep);
-      util::Rng task_rng = base.split(2 * rep + 1);
-      const sim::Cluster cluster = sim::build_cluster(
-          exp::paper_cluster(20.0, p.procs), cluster_rng);
-      sim::SystemView view;
-      view.procs.resize(cluster.size());
-      for (std::size_t j = 0; j < cluster.size(); ++j) {
-        view.procs[j].id = static_cast<sim::ProcId>(j);
-        view.procs[j].rate = cluster.processors[j].base_rate;
-        view.procs[j].comm_estimate =
-            cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-      }
-      workload::NormalSizes dist(1000.0, 9e5);
-      std::vector<double> sizes(p.tasks);
-      for (auto& s : sizes) s = dist.sample(task_rng);
-      const core::ScheduleCodec codec(p.tasks, cluster.size());
-      const core::ScheduleEvaluator eval(sizes, view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
+    const std::size_t reps = p.scale.reps;
+    std::vector<double> d0(reps), dmid(reps), dend(reps), finals(reps);
+    exp::run_ga_batch_study(p.scale, parallel, [&](std::size_t rep,
+                                                   const exp::GaBatch& b) {
+      const core::ScheduleProblem problem(b.codec, b.eval);
       ga::GaConfig cfg;
       cfg.population = pop;
-      cfg.max_generations = p.generations;
+      cfg.max_generations = p.scale.generations;
       cfg.record_stats = true;
       static const ga::RouletteSelection sel;
       static const ga::CycleCrossover cx;
       static const ga::SwapMutation mut;
       const ga::GaEngine engine(cfg, sel, cx, mut);
-      util::Rng ga_rng = base.split(1000 + 100 * rep + pi);
-      auto init = core::initial_population(codec, eval, cfg.population, 0.5,
-                                           ga_rng);
+      util::Rng ga_rng = b.streams.split(1000 + 100 * rep + pi);
+      auto init = core::initial_population(b.codec, b.eval, cfg.population,
+                                           0.5, ga_rng);
       const auto r = engine.run(problem, std::move(init), ga_rng);
       finals[rep] = r.best_objective;
       if (!r.stats_history.empty()) {
@@ -77,12 +55,7 @@ int main(int argc, char** argv) {
         dmid[rep] = r.stats_history[r.stats_history.size() / 2].diversity;
         dend[rep] = r.stats_history.back().diversity;
       }
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {{"diversity_t0", util::summarize(d0).mean},
                   {"diversity_mid", util::summarize(dmid).mean},

@@ -6,9 +6,6 @@
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
-#include "sim/cluster.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -21,56 +18,32 @@ int main(int argc, char** argv) {
       "well-balanced randomised initial population",
       p);
 
-  exp::WorkloadSpec spec;  // GA-batch study: sizes drawn directly below
-  exp::Sweep sweep =
-      bench::make_sweep("abl-init", p, spec, /*mean_comm=*/20.0);
+  // GA-batch cells (exp::run_ga_batch_study) need no base scenario.
+  exp::Sweep sweep("abl-init");
   sweep.axis("random_fraction", {0.0, 0.25, 0.5, 0.75, 1.0}, {});
   sweep.extra_columns(
       {"initial_makespan", "final_makespan", "reduction"});
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const double frac = cell.coord_value("random_fraction");
-    std::vector<double> initials(p.reps), finals(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      util::Rng cluster_rng = base.split(2 * rep);
-      util::Rng task_rng = base.split(2 * rep + 1);
-      const sim::Cluster cluster = sim::build_cluster(
-          exp::paper_cluster(20.0, p.procs), cluster_rng);
-      sim::SystemView view;
-      view.procs.resize(cluster.size());
-      for (std::size_t j = 0; j < cluster.size(); ++j) {
-        view.procs[j].id = static_cast<sim::ProcId>(j);
-        view.procs[j].rate = cluster.processors[j].base_rate;
-        view.procs[j].comm_estimate =
-            cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-      }
-      workload::NormalSizes dist(1000.0, 9e5);
-      std::vector<double> sizes(p.tasks);
-      for (auto& s : sizes) s = dist.sample(task_rng);
-      const core::ScheduleCodec codec(p.tasks, cluster.size());
-      const core::ScheduleEvaluator eval(sizes, view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
+    std::vector<double> initials(p.scale.reps), finals(p.scale.reps);
+    exp::run_ga_batch_study(p.scale, parallel, [&](std::size_t rep,
+                                                   const exp::GaBatch& b) {
+      const core::ScheduleProblem problem(b.codec, b.eval);
       ga::GaConfig cfg;
-      cfg.population = p.population;
-      cfg.max_generations = p.generations;
+      cfg.population = p.scale.population;
+      cfg.max_generations = p.scale.generations;
       cfg.record_history = true;
       const ga::RouletteSelection sel;
       const ga::CycleCrossover cx;
       const ga::SwapMutation mut;
       const ga::GaEngine engine(cfg, sel, cx, mut);
-      util::Rng ga_rng = base.split(5000 + rep);
-      auto init = core::initial_population(codec, eval, cfg.population,
+      util::Rng ga_rng = b.streams.split(5000 + rep);
+      auto init = core::initial_population(b.codec, b.eval, cfg.population,
                                            frac, ga_rng);
       const auto r = engine.run(problem, std::move(init), ga_rng);
       initials[rep] = r.objective_history.front();
       finals[rep] = r.best_objective;
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     const double init_ms = util::summarize(initials).mean;
     const double final_ms = util::summarize(finals).mean;
     exp::CellOutcome out;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("island", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("island", p.scale, spec, /*mean_comm=*/10.0);
 
   std::vector<exp::Sweep::Value> configs;
   // Single-population PN is the islands=1 reference.

@@ -10,32 +10,9 @@
 
 #include "bench_common.hpp"
 #include "core/genetic_scheduler.hpp"
-#include "exp/runner.hpp"
-#include "util/thread_pool.hpp"
+#include "exp/registry.hpp"
 
 using namespace gasched;
-
-namespace {
-
-/// A PN/ZO hybrid with the given feature mask, for replication-style
-/// execution outside the scheduler registry.
-std::unique_ptr<sim::SchedulingPolicy> make_variant(bool comm, bool rebalance,
-                                                    bool dynamic,
-                                                    const bench::BenchParams& p,
-                                                    std::string name) {
-  core::GeneticSchedulerConfig cfg;
-  cfg.ga.max_generations = p.generations;
-  cfg.ga.population = p.population;
-  cfg.use_comm_estimates = comm;
-  cfg.rebalance = rebalance;
-  cfg.ga.improvement_passes = rebalance ? 1 : 0;
-  cfg.dynamic_batch = dynamic;
-  cfg.fixed_batch = p.batch;
-  cfg.max_batch = p.batch;
-  return std::make_unique<core::GeneticBatchScheduler>(cfg, std::move(name));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto p = bench::parse_params(argc, argv, /*tasks=*/600, /*reps=*/4,
@@ -54,47 +31,39 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("pn-components", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("pn-components", p.scale, spec, /*mean_comm=*/10.0);
+  // Each PN/ZO hybrid is a registry entry "PN:<label>", so the cells run
+  // through exp::run_replications like any built-in scheduler.
   std::vector<exp::Sweep::Value> variants;
   for (int mask = 0; mask < 8; ++mask) {
-    const bool comm = (mask & 4) != 0;
-    const bool rebalance = (mask & 2) != 0;
-    const bool dynamic = (mask & 1) != 0;
-    const std::string name = std::string(comm ? "C" : "-") +
-                             (rebalance ? "R" : "-") + (dynamic ? "B" : "-");
-    variants.push_back({name, {}});
+    core::GeneticSchedulerConfig cfg;
+    cfg.ga.max_generations = p.scale.generations;
+    cfg.ga.population = p.scale.population;
+    cfg.use_comm_estimates = (mask & 4) != 0;
+    cfg.rebalance = (mask & 2) != 0;
+    cfg.ga.improvement_passes = cfg.rebalance ? 1 : 0;
+    cfg.dynamic_batch = (mask & 1) != 0;
+    cfg.fixed_batch = p.scale.batch;
+    cfg.max_batch = p.scale.batch;
+    const std::string label = std::string(cfg.use_comm_estimates ? "C" : "-") +
+                              (cfg.rebalance ? "R" : "-") +
+                              (cfg.dynamic_batch ? "B" : "-");
+    exp::SchedulerRegistry::instance().add(
+        {.name = "PN:" + label,
+         .summary = "PN component ablation variant " + label,
+         .factory = [cfg, label](const exp::SchedulerParams&) {
+           return std::make_unique<core::GeneticBatchScheduler>(cfg, label);
+         }});
+    variants.push_back({label, {}});
   }
   sweep.axis("variant", std::move(variants));
-  // Custom runner: the hybrid policies live outside the registry, so the
-  // replication loop follows the runner's documented stream discipline
-  // (workload/cluster depend only on (seed, rep), identical across
-  // variants).
-  sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
-    const auto mask = static_cast<int>(cell.index);
-    const bool comm = (mask & 4) != 0;
-    const bool rebalance = (mask & 2) != 0;
-    const bool dynamic = (mask & 1) != 0;
-    const auto& s = cell.scenario;
-    std::vector<sim::SimulationResult> runs(s.replications);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(s.seed);
-      util::Rng wrng = base.split(3 * rep);
-      util::Rng crng = base.split(3 * rep + 1);
-      util::Rng srng = base.split(3 * rep + 2);
-      const auto dist = exp::make_distribution(s.workload);
-      const auto wl = workload::generate(*dist, s.workload.count, wrng);
-      const auto cluster = sim::build_cluster(s.cluster, crng);
-      const auto policy = make_variant(comm, rebalance, dynamic, p,
-                                       cell.coord("variant"));
-      runs[rep] = sim::simulate(cluster, wl, *policy, srng);
-    };
-    if (parallel && runs.size() > 1) {
-      util::global_pool().parallel_for(0, runs.size(), body);
-    } else {
-      for (std::size_t rep = 0; rep < runs.size(); ++rep) body(rep);
-    }
+  // The cells keep an empty scheduler column: the variant axis names them.
+  sweep.runner([](const exp::SweepCell& cell, bool parallel) {
+    const std::string& label = cell.coord("variant");
     exp::CellOutcome out;
-    out.summary = metrics::aggregate(cell.coord("variant"), runs);
+    out.summary = metrics::aggregate(
+        label, exp::run_replications(cell.scenario, "PN:" + label,
+                                     cell.params, parallel));
     return out;
   });
 

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("abl-pop", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("abl-pop", p.scale, spec, /*mean_comm=*/10.0);
   sweep.scheduler("PN");
   sweep.param_axis("population", {6, 12, 20, 40, 80});
   bench::run_sweep(sweep, p);

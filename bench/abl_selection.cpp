@@ -8,9 +8,6 @@
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
-#include "sim/cluster.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -31,57 +28,33 @@ int main(int argc, char** argv) {
           {"sus", std::make_shared<ga::SusSelection>()},
       };
 
-  exp::WorkloadSpec spec;  // GA-batch study: sizes drawn directly below
-  exp::Sweep sweep =
-      bench::make_sweep("abl-selection", p, spec, /*mean_comm=*/20.0);
+  // GA-batch cells (exp::run_ga_batch_study) need no base scenario.
+  exp::Sweep sweep("abl-selection");
   std::vector<exp::Sweep::Value> values;
   for (const auto& [label, op] : ops) values.push_back({label, {}});
   sweep.axis("selection", std::move(values));
   sweep.extra_columns({"final_makespan", "reduction_vs_init"});
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const std::size_t oi = cell.index;
-    std::vector<double> finals(p.reps), reductions(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      util::Rng cluster_rng = base.split(2 * rep);
-      util::Rng task_rng = base.split(2 * rep + 1);
-      const sim::Cluster cluster = sim::build_cluster(
-          exp::paper_cluster(20.0, p.procs), cluster_rng);
-      sim::SystemView view;
-      view.procs.resize(cluster.size());
-      for (std::size_t j = 0; j < cluster.size(); ++j) {
-        view.procs[j].id = static_cast<sim::ProcId>(j);
-        view.procs[j].rate = cluster.processors[j].base_rate;
-        view.procs[j].comm_estimate =
-            cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-      }
-      workload::NormalSizes dist(1000.0, 9e5);
-      std::vector<double> sizes(p.tasks);
-      for (auto& s : sizes) s = dist.sample(task_rng);
-      const core::ScheduleCodec codec(p.tasks, cluster.size());
-      const core::ScheduleEvaluator eval(sizes, view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
+    std::vector<double> finals(p.scale.reps), reductions(p.scale.reps);
+    exp::run_ga_batch_study(p.scale, parallel, [&](std::size_t rep,
+                                                   const exp::GaBatch& b) {
+      const core::ScheduleProblem problem(b.codec, b.eval);
       ga::GaConfig cfg;
-      cfg.population = p.population;
-      cfg.max_generations = p.generations;
+      cfg.population = p.scale.population;
+      cfg.max_generations = p.scale.generations;
       cfg.record_history = true;
       const ga::CycleCrossover cx;
       const ga::SwapMutation mut;
       const ga::GaEngine engine(cfg, *ops[oi].second, cx, mut);
-      util::Rng ga_rng = base.split(1000 + 10 * rep + oi);
-      auto init = core::initial_population(codec, eval, cfg.population, 0.5,
-                                           ga_rng);
+      util::Rng ga_rng = b.streams.split(1000 + 10 * rep + oi);
+      auto init = core::initial_population(b.codec, b.eval, cfg.population,
+                                           0.5, ga_rng);
       const auto r = engine.run(problem, std::move(init), ga_rng);
       finals[rep] = r.best_objective;
       reductions[rep] =
           1.0 - r.best_objective / r.objective_history.front();
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {{"final_makespan", util::summarize(finals).mean},
                   {"reduction_vs_init", util::summarize(reductions).mean}};

@@ -25,13 +25,12 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Scenario base =
-      bench::bench_scenario(p, spec, /*mean_comm=*/15.0, "smoothing");
+      exp::fig_scenario(p.scale, spec, /*mean_comm=*/15.0, "smoothing");
   base.cluster.comm.jitter_cv = 0.8;  // strongly noisy per-dispatch costs
 
   exp::Sweep sweep("abl-smoothing");
   sweep.base(base)
-      .params(bench::scheduler_params(p))
-      .parallel(!p.serial)
+      .params(exp::fig_params(p.scale))
       .scheduler("PN")
       .axis("nu", {0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0},
             [](exp::SweepCell& c, double nu) { c.scenario.comm_nu = nu; });

@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -11,30 +12,31 @@ BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
                          std::size_t quick_generations) {
   const util::Cli cli(argc, argv);
   BenchParams p;
-  p.full = util::bench_full_scale() || cli.get_bool("full", false);
-  if (p.full) {
-    p.tasks = 10000;
-    p.reps = 50;
-    p.generations = 1000;
+  exp::FigScale& s = p.scale;
+  s.full = util::bench_full_scale() || cli.get_bool("full", false);
+  if (s.full) {
+    s.tasks = 10000;
+    s.reps = 50;
+    s.generations = 1000;
   } else {
-    p.tasks = quick_tasks;
-    p.reps = quick_reps;
-    p.generations = quick_generations;
+    s.tasks = quick_tasks;
+    s.reps = quick_reps;
+    s.generations = quick_generations;
   }
-  p.tasks = static_cast<std::size_t>(
-      cli.get_int("tasks", static_cast<std::int64_t>(p.tasks)));
-  p.reps = static_cast<std::size_t>(
-      cli.get_int("reps", static_cast<std::int64_t>(p.reps)));
-  p.generations = static_cast<std::size_t>(cli.get_int(
-      "generations", static_cast<std::int64_t>(p.generations)));
-  p.procs = static_cast<std::size_t>(
-      cli.get_int("procs", static_cast<std::int64_t>(p.procs)));
-  p.population = static_cast<std::size_t>(
-      cli.get_int("population", static_cast<std::int64_t>(p.population)));
-  p.batch = static_cast<std::size_t>(
-      cli.get_int("batch", static_cast<std::int64_t>(p.batch)));
-  p.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(p.seed)));
+  s.tasks = static_cast<std::size_t>(
+      cli.get_int("tasks", static_cast<std::int64_t>(s.tasks)));
+  s.reps = static_cast<std::size_t>(
+      cli.get_int("reps", static_cast<std::int64_t>(s.reps)));
+  s.generations = static_cast<std::size_t>(cli.get_int(
+      "generations", static_cast<std::int64_t>(s.generations)));
+  s.procs = static_cast<std::size_t>(
+      cli.get_int("procs", static_cast<std::int64_t>(s.procs)));
+  s.population = static_cast<std::size_t>(
+      cli.get_int("population", static_cast<std::int64_t>(s.population)));
+  s.batch = static_cast<std::size_t>(
+      cli.get_int("batch", static_cast<std::int64_t>(s.batch)));
+  s.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(s.seed)));
   p.serial = cli.get_bool("serial", false);
   if (cli.has("csv")) p.csv = cli.get("csv", "");
   if (cli.has("json")) p.json = cli.get("json", "");
@@ -47,51 +49,22 @@ BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
   return p;
 }
 
-exp::SchedulerParams scheduler_params(const BenchParams& p) {
-  exp::SchedulerParams o;
-  o.set("batch_size", p.batch);
-  o.set("max_generations", p.generations);
-  o.set("population", p.population);
-  o.set("pn_dynamic_batch", p.pn_dynamic_batch);
-  return o;
-}
-
 void print_banner(const std::string& figure, const std::string& title,
                   const std::string& paper_expectation,
                   const BenchParams& p) {
   std::cout << "=== " << figure << ": " << title << " ===\n"
             << "Paper expectation: " << paper_expectation << "\n"
-            << "Scale: " << (p.full ? "full (paper)" : "quick") << "  tasks="
-            << p.tasks << " procs=" << p.procs << " reps=" << p.reps
-            << " generations=" << p.generations << " batch=" << p.batch
-            << " seed=" << p.seed
+            << "Scale: " << (p.scale.full ? "full (paper)" : "quick")
+            << "  tasks=" << p.scale.tasks << " procs=" << p.scale.procs
+            << " reps=" << p.scale.reps
+            << " generations=" << p.scale.generations
+            << " batch=" << p.scale.batch << " seed=" << p.scale.seed
             << (p.serial ? "  (serial execution)" : "") << "\n\n";
-}
-
-exp::Scenario bench_scenario(const BenchParams& p,
-                             const exp::WorkloadSpec& spec,
-                             double mean_comm_cost, std::string name) {
-  exp::Scenario s;
-  s.name = std::move(name);
-  s.cluster = exp::paper_cluster(mean_comm_cost, p.procs);
-  s.workload = spec;
-  s.workload.count = p.tasks;
-  s.seed = p.seed;
-  s.replications = p.reps;
-  return s;
-}
-
-exp::Sweep make_sweep(std::string name, const BenchParams& p,
-                      const exp::WorkloadSpec& spec, double mean_comm_cost) {
-  exp::Sweep sweep(name);
-  sweep.base(bench_scenario(p, spec, mean_comm_cost, std::move(name)));
-  sweep.params(scheduler_params(p));
-  sweep.parallel(!p.serial);
-  return sweep;
 }
 
 exp::SweepResult run_sweep(exp::Sweep& sweep, const BenchParams& p,
                            bool print_table) {
+  sweep.parallel(!p.serial);
   std::optional<metrics::TableSink> table;
   if (print_table) {
     table.emplace(std::cout);
@@ -136,19 +109,6 @@ exp::SweepResult run_sweep(exp::Sweep& sweep, const BenchParams& p,
   return result;
 }
 
-exp::FigScale to_scale(const BenchParams& p) {
-  exp::FigScale s;
-  s.tasks = p.tasks;
-  s.procs = p.procs;
-  s.reps = p.reps;
-  s.generations = p.generations;
-  s.population = p.population;
-  s.batch = p.batch;
-  s.seed = p.seed;
-  s.full = p.full;
-  return s;
-}
-
 int run_figure(const std::string& id, int argc, char** argv) {
   const exp::FigureDef& fig = exp::FigSet::instance().find(id);
   BenchParams p = parse_params(argc, argv, fig.quick_tasks, fig.quick_reps,
@@ -157,34 +117,15 @@ int run_figure(const std::string& id, int argc, char** argv) {
   // explicit --tasks wins — the same precedence figset uses, so both
   // drivers build identical grids from identical flags.
   const util::Cli cli(argc, argv);
-  if (p.full && fig.full_tasks != 0 && !cli.has("tasks")) {
-    p.tasks = fig.full_tasks;
+  if (p.scale.full && fig.full_tasks != 0 && !cli.has("tasks")) {
+    p.scale.tasks = fig.full_tasks;
   }
   print_banner(fig.number, fig.title, fig.paper_expectation, p);
 
-  const exp::FigScale scale = to_scale(p);
-  exp::Sweep sweep = fig.build(scale);
-  sweep.parallel(!p.serial);
+  exp::Sweep sweep = fig.build(p.scale);
   const exp::SweepResult result = run_sweep(sweep, p, fig.grid_table);
-  if (fig.report) fig.report(result, scale, std::cout);
+  if (fig.report) fig.report(result, p.scale, std::cout);
   return 0;
-}
-
-void maybe_write_csv(const BenchParams& p,
-                     const std::vector<std::string>& header,
-                     const std::vector<std::vector<double>>& rows) {
-  if (!p.csv) return;
-  util::CsvWriter w(*p.csv);
-  w.row(header);
-  for (const auto& row : rows) w.row_numeric(row);
-  std::cout << "CSV written to " << *p.csv << "\n";
-}
-
-void maybe_write_json(const BenchParams& p, const std::string& experiment,
-                      const std::vector<metrics::CellSummary>& cells) {
-  if (!p.json) return;
-  metrics::write_experiment_json(experiment, cells, *p.json);
-  std::cout << "JSON written to " << *p.json << "\n";
 }
 
 }  // namespace gasched::bench

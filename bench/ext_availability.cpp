@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("availability", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("availability", p.scale, spec, /*mean_comm=*/10.0);
 
   const std::pair<const char*, sim::AvailabilityKind> models[] = {
       {"fixed", sim::AvailabilityKind::kFixed},

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("baselines", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("baselines", p.scale, spec, /*mean_comm=*/10.0);
   sweep.schedulers(exp::extended_schedulers());
   const auto result = bench::run_sweep(sweep, p);
 

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   fcfg.failing_fraction = 0.5;  // half the machines are flaky
 
   exp::Sweep sweep =
-      bench::make_sweep("failures", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("failures", p.scale, spec, /*mean_comm=*/10.0);
   sweep.axis("cluster",
              {exp::Sweep::Value{"healthy", {}},
               exp::Sweep::Value{"flaky", [fcfg](exp::SweepCell& c) {
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
         {flaky[i]->cell.makespan.mean / healthy[i]->cell.makespan.mean,
          flaky[i]->cell.requeued.mean});
     if (flaky[i]->cell.completed.min <
-        static_cast<double>(p.tasks)) {
+        static_cast<double>(p.scale.tasks)) {
       std::cerr << "ERROR: task lost under failures (" << flaky[i]->scheduler
                 << ")!\n";
       lost = true;

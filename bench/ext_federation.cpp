@@ -27,7 +27,7 @@ fed::FederationConfig make_fed(const bench::BenchParams& p,
   fed::FederationConfig cfg;
   cfg.name = "ext_federation";
   const std::size_t procs_per_cluster =
-      std::max<std::size_t>(4, p.procs / 3);
+      std::max<std::size_t>(4, p.scale.procs / 3);
   const char* names[] = {"edge", "core", "burst"};
   for (std::size_t k = 0; k < 3; ++k) {
     fed::ClusterSpec spec;
@@ -62,10 +62,10 @@ fed::FederationConfig make_fed(const bench::BenchParams& p,
   cfg.workload.dist = "uniform";
   cfg.workload.param_a = 10.0;
   cfg.workload.param_b = 1000.0;
-  cfg.workload.count = p.tasks;
-  cfg.scheduler_params = bench::scheduler_params(p);
-  cfg.seed = p.seed;
-  cfg.replications = p.reps;
+  cfg.workload.count = p.scale.tasks;
+  cfg.scheduler_params = exp::fig_params(p.scale);
+  cfg.seed = p.scale.seed;
+  cfg.replications = p.scale.reps;
   return cfg;
 }
 
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   spec.param_a = 10.0;
   spec.param_b = 1000.0;
 
-  exp::Sweep sweep = bench::make_sweep("federation", p, spec,
-                                       /*mean_comm=*/5.0);
+  exp::Sweep sweep = exp::fig_sweep("federation", p.scale, spec,
+                                    /*mean_comm=*/5.0);
   sweep.axis("topology", {exp::Sweep::Value{"full_mesh", {}},
                           exp::Sweep::Value{"star", {}}});
   sweep.axis("migration", {exp::Sweep::Value{"none", {}},
@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   // Hard invariant: no policy may lose or duplicate a task.
   bool conserved = true;
   for (const auto& row : result.rows) {
-    if (row.cell.completed.min < static_cast<double>(p.tasks) ||
-        row.cell.completed.max > static_cast<double>(p.tasks)) {
+    if (row.cell.completed.min < static_cast<double>(p.scale.tasks) ||
+        row.cell.completed.max > static_cast<double>(p.scale.tasks)) {
       std::cerr << "ERROR: task conservation violated (topology="
                 << coord(row, "topology") << ", migration="
                 << coord(row, "migration") << ")\n";
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
                          : 0.0,
                      row->extra("migrations"),
                      row->extra("edge_completed") /
-                         static_cast<double>(p.tasks)});
+                         static_cast<double>(p.scale.tasks)});
     }
   }
   std::cout << "\n";

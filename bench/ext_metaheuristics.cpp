@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   kinds.push_back("RR");  // uninformed reference
 
   exp::Sweep sweep =
-      bench::make_sweep("metaheuristics", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("metaheuristics", p.scale, spec, /*mean_comm=*/10.0);
   sweep.schedulers(kinds);
   const auto result = bench::run_sweep(sweep, p);
 

@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   if (quick) {
     // CI smoke scale: exercises every code path (exact search, GA
     // schedulers, interior-point bound) in a few seconds.
-    p.tasks = 120;
-    p.procs = 12;
-    p.reps = 1;
-    p.generations = 10;
+    p.scale.tasks = 120;
+    p.scale.procs = 12;
+    p.scale.reps = 1;
+    p.scale.generations = 10;
   }
   bench::print_banner(
       "Extension", "optimality gap (SS3's 'near-optimal' claim, quantified)",
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       p);
 
   // ---- Part 1: exact optimum on small single-batch instances ----------
-  const std::size_t kInstances = p.full ? 40 : (quick ? 6 : 15);
+  const std::size_t kInstances = p.scale.full ? 40 : (quick ? 6 : 15);
   const std::size_t kTinyTasks = 10;
   const std::size_t kTinyProcs = 3;
 
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   spec.param_a = 1000.0;
   spec.param_b = 9e5;
 
-  exp::Sweep part1 = bench::make_sweep("optgap-exact", p, spec,
-                                       /*mean_comm=*/10.0);
+  exp::Sweep part1 = exp::fig_sweep("optgap-exact", p.scale, spec,
+                                    /*mean_comm=*/10.0);
   part1.schedulers(exp::metaheuristic_schedulers());
   part1.extra_columns({"mean_makespan_over_optimum"});
   part1.runner([&](const exp::SweepCell& cell, bool parallel) {
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
         };
     std::vector<double> gaps(kInstances);
     auto body = [&](std::size_t inst_i) {
-      util::Rng rng(p.seed + inst_i);
+      util::Rng rng(p.scale.seed + inst_i);
       metrics::BoundInstance inst;
       sim::SystemView view;
       view.procs.resize(kTinyProcs);
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
 
       exp::SchedulerParams opts;
       opts.set("batch_size", kTinyTasks);
-      opts.set("max_generations", p.generations);
-      opts.set("population", p.population);
+      opts.set("max_generations", p.scale.generations);
+      opts.set("population", p.scale.population);
       // One fixed batch covering the whole instance: the dynamic H rule
       // would schedule a processor-count-sized prefix only.
       opts.set("pn_dynamic_batch", false);
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
         q.push_back(
             {static_cast<workload::TaskId>(i), inst.task_sizes[i], 0.0});
       }
-      util::Rng prng(p.seed + 1000 + inst_i);
+      util::Rng prng(p.scale.seed + 1000 + inst_i);
       const auto a = policy->invoke(view, q, prng);
       if (!q.empty()) {
         // A partial assignment would make the gap look better than the
@@ -139,13 +139,13 @@ int main(int argc, char** argv) {
 
   // ---- Part 2: certified lower-bound gap at simulation scale -----------
   std::cout << "\nPart 2 — `extgap` figure grid: full simulation ("
-            << p.tasks << " tasks, " << p.procs
+            << p.scale.tasks << " tasks, " << p.scale.procs
             << " processors) vs certified bounds lb_comb and lb_qp:\n";
 
   const exp::FigureDef& fig = exp::FigSet::instance().find("extgap");
-  exp::Sweep part2 = fig.build(bench::to_scale(p));
+  exp::Sweep part2 = fig.build(p.scale);
   const exp::SweepResult r2 = bench::run_sweep(part2, p);
-  fig.report(r2, bench::to_scale(p), std::cout);
+  fig.report(r2, p.scale, std::cout);
 
   // Hard certificate check: relaxation_lower_bound folds the
   // combinatorial bound in, so lb_qp < lb_comb (beyond rounding) means

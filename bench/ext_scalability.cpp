@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("scalability", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("scalability", p.scale, spec, /*mean_comm=*/10.0);
   sweep.axis("procs", {5, 10, 20, 35, 50},
              [](exp::SweepCell& c, double m) {
                c.scenario.cluster.num_processors =

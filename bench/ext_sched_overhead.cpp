@@ -5,11 +5,11 @@
 // the balance.
 
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "core/genetic_scheduler.hpp"
-#include "exp/runner.hpp"
-#include "util/thread_pool.hpp"
+#include "exp/registry.hpp"
 
 using namespace gasched;
 
@@ -35,14 +35,15 @@ int main(int argc, char** argv) {
       "evolution; with free scheduling, more generations only help",
       p);
 
-  // Scale: 1 wall second of GA time = `scale` simulated seconds. Large
-  // values emulate a slow scheduler processor relative to the cluster.
-  const double scale = 2000.0;
+  // 1 wall second of GA time = `charge` simulated seconds. Large values
+  // emulate a slow scheduler processor relative to the cluster.
+  const double charge = 2000.0;
+  const std::size_t gens = p.scale.generations;
   const std::vector<OverheadCase> cases{
       {"free scheduling, 50 gens", 0.0, 0.0, 50},
-      {"free scheduling, 400 gens", 0.0, 0.0, p.generations},
-      {"charged time, 400 gens, no budget", scale, 0.0, p.generations},
-      {"charged time, 400 gens, 20 ms budget", scale, 0.02, p.generations},
+      {"free scheduling, 400 gens", 0.0, 0.0, gens},
+      {"charged time, 400 gens, no budget", charge, 0.0, gens},
+      {"charged time, 400 gens, 20 ms budget", charge, 0.02, gens},
   };
 
   exp::WorkloadSpec spec;
@@ -51,43 +52,37 @@ int main(int argc, char** argv) {
   spec.param_b = 9e5;
 
   exp::Sweep sweep =
-      bench::make_sweep("sched-overhead", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("sched-overhead", p.scale, spec, /*mean_comm=*/10.0);
+  // Each case is a registry entry "PN#<i>" (max_wall_seconds lives on
+  // GeneticSchedulerConfig, not in the registry's parameter surface), and
+  // its time scale is the cell's Scenario::sched_time_scale.
   std::vector<exp::Sweep::Value> values;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    values.push_back({cases[i].label, {}});
+    core::GeneticSchedulerConfig cfg;
+    cfg.ga.max_generations = cases[i].gens;
+    cfg.ga.population = p.scale.population;
+    cfg.max_wall_seconds = cases[i].budget;
+    exp::SchedulerRegistry::instance().add(
+        {.name = "PN#" + std::to_string(i),
+         .summary = cases[i].label,
+         .factory = [cfg](const exp::SchedulerParams&) {
+           return core::make_pn_scheduler(cfg);
+         }});
+    const double time_scale = cases[i].time_scale;
+    values.push_back({cases[i].label, [time_scale](exp::SweepCell& c) {
+                        c.scenario.sched_time_scale = time_scale;
+                      }});
   }
   sweep.axis("configuration", std::move(values));
-  // Custom runner: max_wall_seconds lives on GeneticSchedulerConfig, not
-  // in the registry's parameter surface, so the policy is built directly.
-  sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
-    const OverheadCase& oc = cases[cell.index];
-    std::vector<sim::SimulationResult> runs(cell.scenario.replications);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(cell.scenario.seed);
-      util::Rng workload_rng = base.split(3 * rep);
-      util::Rng cluster_rng = base.split(3 * rep + 1);
-      util::Rng sim_rng = base.split(3 * rep + 2);
-      const auto dist = exp::make_distribution(cell.scenario.workload);
-      const auto wl = workload::generate(
-          *dist, cell.scenario.workload.count, workload_rng);
-      const auto cluster =
-          sim::build_cluster(cell.scenario.cluster, cluster_rng);
-      core::GeneticSchedulerConfig cfg;
-      cfg.ga.max_generations = oc.gens;
-      cfg.ga.population = p.population;
-      cfg.max_wall_seconds = oc.budget;
-      const auto pn = core::make_pn_scheduler(cfg);
-      sim::EngineConfig ecfg;
-      ecfg.sched_time_scale = oc.time_scale;
-      runs[rep] = sim::simulate(cluster, wl, *pn, sim_rng, ecfg);
-    };
-    if (parallel && runs.size() > 1) {
-      util::global_pool().parallel_for(0, runs.size(), body);
-    } else {
-      for (std::size_t rep = 0; rep < runs.size(); ++rep) body(rep);
-    }
+  // The cells keep an empty scheduler column: the configuration axis
+  // names them.
+  sweep.runner([](const exp::SweepCell& cell, bool parallel) {
     exp::CellOutcome out;
-    out.summary = metrics::aggregate("PN", runs);
+    out.summary = metrics::aggregate(
+        cell.coord("configuration"),
+        exp::run_replications(cell.scenario,
+                              "PN#" + std::to_string(cell.index),
+                              cell.params, parallel));
     return out;
   });
 

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
   // Keep the system loaded: mean service need per task ≈ 1256 MFLOPs /
   // (55 Mflop/s avg rate) ≈ 23 s across `procs` processors.
   spec.mean_interarrival =
-      23.0 / static_cast<double>(p.procs) * 0.7;  // ~70% offered load
+      23.0 / static_cast<double>(p.scale.procs) * 0.7;  // ~70% offered load
 
   exp::Sweep sweep =
-      bench::make_sweep("streaming", p, spec, /*mean_comm=*/10.0);
+      exp::fig_sweep("streaming", p.scale, spec, /*mean_comm=*/10.0);
   // Four regimes at the same mean rate: plain Poisson; bursty MMPP (the
   // clumping real submission streams show; dwell ≈ 30 mean
   // inter-arrivals, so each ON burst carries a few dozen tasks); a

@@ -12,8 +12,6 @@
 
 #include "bench_common.hpp"
 #include "metrics/bounds.hpp"
-#include "sim/cluster.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -33,12 +31,12 @@ int main(int argc, char** argv) {
   spec.param_b = 1000.0;
 
   exp::Scenario base =
-      bench::bench_scenario(p, spec, /*mean_comm=*/0.05, "zo-validation");
+      exp::fig_scenario(p.scale, spec, /*mean_comm=*/0.05, "zo-validation");
   base.cluster.rate_lo = 50.0;  // homogeneous: every rate is 50 Mflop/s
   base.cluster.rate_hi = 50.0;
 
   exp::Sweep sweep("zo-validation");
-  sweep.base(base).params(bench::scheduler_params(p)).parallel(!p.serial);
+  sweep.base(base).params(exp::fig_params(p.scale));
   sweep.axis("procs", {4, 8, 16, 32},
              [](exp::SweepCell& c, double m) {
                c.scenario.cluster.num_processors =
@@ -46,24 +44,15 @@ int main(int argc, char** argv) {
              });
   sweep.schedulers({"ZO", "RR", "EF"});
   sweep.extra_columns({"bound_ratio"});
-  // Custom runner: the default replication run plus the per-replication
-  // work lower bound (the workload depends only on rep, so the bound can
-  // be reconstructed from the runner's documented stream discipline).
+  // Custom runner: the default replication run plus each replication's
+  // work lower bound, from the same workload and cluster the run saw.
   sweep.runner([](const exp::SweepCell& cell, bool parallel) {
     const auto runs = exp::run_replications(cell.scenario, cell.scheduler,
                                             cell.params, parallel);
     double ratio = 0.0;
     for (std::size_t rep = 0; rep < runs.size(); ++rep) {
-      const util::Rng rng_base(cell.scenario.seed);
-      util::Rng wrng = rng_base.split(3 * rep);
-      const auto dist = exp::make_distribution(cell.scenario.workload);
-      const auto wl = workload::generate(
-          *dist, cell.scenario.workload.count, wrng);
-      metrics::BoundInstance inst;
-      for (const auto& task : wl.tasks) {
-        inst.task_sizes.push_back(task.size_mflops);
-      }
-      inst.rates.assign(cell.scenario.cluster.num_processors, 50.0);
+      metrics::BoundInstance inst = exp::bound_instance(cell.scenario, rep);
+      inst.comm_costs.clear();  // the work-only bound W / (M·P)
       ratio += runs[rep].makespan / metrics::makespan_lower_bound(inst);
     }
     exp::CellOutcome out;

@@ -18,43 +18,19 @@
 // No Google-Benchmark dependency: this tool must emit machine-readable
 // JSON and count allocations, both of which need full control of main().
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <tuple>
 
+#include "alloc_count.hpp"
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "sim/policy.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<unsigned long long> g_allocs{0};
-
-}  // namespace
-
-// Counting hook: every heap allocation in the process bumps the counter.
-// Deliberately minimal — malloc/free keep their usual semantics.
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -121,9 +97,9 @@ std::tuple<double, unsigned long long, std::size_t, std::size_t> run_ga(
       core::initial_population(codec, eval, o.population, 0.5, init_rng);
   util::Rng ga_rng(3);
   const auto t0 = std::chrono::steady_clock::now();
-  const unsigned long long a0 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a0 = bench::allocs_total();
   const ga::GaResult r = engine.run(problem, std::move(init), ga_rng);
-  const unsigned long long a1 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a1 = bench::allocs_total();
   const auto t1 = std::chrono::steady_clock::now();
   return {std::chrono::duration<double>(t1 - t0).count(), a1 - a0,
           r.generations, r.evaluations};

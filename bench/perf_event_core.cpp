@@ -23,18 +23,17 @@
 //           event of the run loop (the policies' BatchAssignment results
 //           and std::deque chunk turnover).
 //
-// Plain binary (no Google Benchmark): it owns operator new for the
-// allocation counting, and emits one machine-readable JSON line.
+// Plain binary (no Google Benchmark): it links the counting operator new
+// of alloc_count.cpp, and emits one machine-readable JSON line.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <new>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "fed/federation.hpp"
@@ -43,28 +42,6 @@
 #include "util/config.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
-
-namespace {
-
-std::atomic<unsigned long long> g_allocs{0};
-
-}  // namespace
-
-// Counting hook: every heap allocation in the process bumps the counter.
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -137,7 +114,7 @@ std::pair<double, double> run_hold(const Options& o) {
     q.pop();
     q.push(t + rng.exponential(1.0), i);
   }
-  const unsigned long long a0 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a0 = bench::allocs_total();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < o.holds; ++i) {
     const double t = q.top_time();
@@ -145,7 +122,7 @@ std::pair<double, double> run_hold(const Options& o) {
     q.push(t + rng.exponential(1.0), i);
   }
   const double wall = seconds_since(t0);
-  const unsigned long long a1 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a1 = bench::allocs_total();
   return {static_cast<double>(o.holds) / wall,
           static_cast<double>(a1 - a0) / static_cast<double>(o.holds)};
 }
@@ -182,12 +159,12 @@ FedRow run_fed(const Options& o) {
   cfg.workload.count = o.fed_tasks;
   cfg.replications = 1;
   fed::Federation federation(cfg, 0);
-  const unsigned long long a0 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a0 = bench::allocs_total();
   const auto t0 = std::chrono::steady_clock::now();
   const fed::FederationResult r = federation.run();
   FedRow row;
   row.wall = seconds_since(t0);
-  const unsigned long long a1 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a1 = bench::allocs_total();
   for (std::size_t k = 0; k < federation.size(); ++k) {
     row.events += static_cast<double>(
         federation.node(k).engine().events_processed());

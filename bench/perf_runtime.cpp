@@ -17,43 +17,20 @@
 // λ × 50, shedding) measures max sustainable throughput: completions per
 // second when the arrival source always has work to offer.
 //
-// Plain binary (no Google Benchmark): it owns operator new for the
-// allocation counting, and emits one machine-readable JSON line.
+// Plain binary (no Google Benchmark): it links the counting operator new
+// of alloc_count.cpp, and emits one machine-readable JSON line.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "rt/runtime.hpp"
 #include "sched/heuristics.hpp"
 #include "workload/generator.hpp"
-
-namespace {
-
-std::atomic<unsigned long long> g_allocs{0};
-
-}  // namespace
-
-// Counting hook: every heap allocation in the process bumps the counter.
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -106,9 +83,9 @@ struct Cell {
 Cell run_cell(rt::Runtime& runtime, const rt::ServeConfig& cfg,
               const workload::SizeDistribution& sizes) {
   Cell cell;
-  const unsigned long long a0 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a0 = bench::allocs_total();
   cell.result = runtime.serve(cfg, sizes);
-  const unsigned long long a1 = g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long a1 = bench::allocs_total();
   cell.allocs_per_dispatch =
       cell.result.completed > 0
           ? static_cast<double>(a1 - a0) /

@@ -24,12 +24,8 @@
 
 namespace gasched::exp {
 
-namespace {
+// --- the standard grid -------------------------------------------------------
 
-// --- grid building blocks ---------------------------------------------------
-
-/// Shared [scheduler] parameters for a figure grid at scale `s` (the
-/// same set bench_common::scheduler_params builds from BenchParams).
 SchedulerParams fig_params(const FigScale& s, bool pn_dynamic_batch) {
   SchedulerParams o;
   o.set("batch_size", s.batch);
@@ -39,8 +35,6 @@ SchedulerParams fig_params(const FigScale& s, bool pn_dynamic_batch) {
   return o;
 }
 
-/// The standard figure scenario: paper cluster at `mean_comm_cost` with
-/// `spec` sizes, scaled by `s`.
 Scenario fig_scenario(const FigScale& s, const WorkloadSpec& spec,
                       double mean_comm_cost, std::string name) {
   Scenario sc;
@@ -61,6 +55,55 @@ Sweep fig_sweep(const std::string& id, const FigScale& s,
   sweep.params(fig_params(s, pn_dynamic_batch));
   return sweep;
 }
+
+// --- the GA-batch study ------------------------------------------------------
+
+namespace {
+
+/// Observable system view of a freshly built cluster: Linpack rates, no
+/// pending load, comm estimates primed at the true link means.
+sim::SystemView steady_state_view(const sim::Cluster& cluster) {
+  sim::SystemView v;
+  v.procs.resize(cluster.size());
+  for (std::size_t j = 0; j < cluster.size(); ++j) {
+    v.procs[j].id = static_cast<sim::ProcId>(j);
+    v.procs[j].rate = cluster.processors[j].base_rate;
+    v.procs[j].comm_estimate =
+        cluster.comm->true_mean(static_cast<sim::ProcId>(j));
+    v.procs[j].comm_observations = 1;
+  }
+  return v;
+}
+
+}  // namespace
+
+void run_ga_batch_study(
+    const FigScale& s, bool parallel,
+    const std::function<void(std::size_t rep, const GaBatch& batch)>& body) {
+  auto one = [&](std::size_t rep) {
+    const util::Rng base(s.seed);
+    util::Rng cluster_rng = base.split(2 * rep);
+    util::Rng task_rng = base.split(2 * rep + 1);
+    const sim::Cluster cluster =
+        sim::build_cluster(paper_cluster(20.0, s.procs), cluster_rng);
+    workload::NormalSizes dist(1000.0, 9e5);
+    std::vector<double> sizes(s.tasks);
+    for (auto& sz : sizes) sz = dist.sample(task_rng);
+    const GaBatch batch{
+        core::ScheduleCodec(s.tasks, cluster.size()),
+        core::ScheduleEvaluator(std::move(sizes), steady_state_view(cluster),
+                                /*use_comm=*/true),
+        base};
+    body(rep, batch);
+  };
+  if (parallel && s.reps > 1) {
+    util::global_pool().parallel_for(0, s.reps, one);
+  } else {
+    for (std::size_t rep = 0; rep < s.reps; ++rep) one(rep);
+  }
+}
+
+namespace {
 
 /// Label of `axis` on an executed row, parsed as a double.
 double row_coord(const metrics::SweepRow& row, const std::string& axis) {
@@ -181,22 +224,6 @@ FigureDef efficiency_figure(
 
 // --- Figure 3: GA convergence trajectories ----------------------------------
 
-/// Observable system view of a freshly built cluster: Linpack rates, no
-/// pending load, comm estimates primed at the true link means (the GA is
-/// studied in steady state here, as in the paper's Fig 3).
-sim::SystemView steady_state_view(const sim::Cluster& cluster) {
-  sim::SystemView v;
-  v.procs.resize(cluster.size());
-  for (std::size_t j = 0; j < cluster.size(); ++j) {
-    v.procs[j].id = static_cast<sim::ProcId>(j);
-    v.procs[j].rate = cluster.processors[j].base_rate;
-    v.procs[j].comm_estimate =
-        cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-    v.procs[j].comm_observations = 1;
-  }
-  return v;
-}
-
 /// Sampling stride for the trajectory columns (~20 points per run).
 std::size_t fig3_step(std::size_t generations) {
   return std::max<std::size_t>(1, generations / 20);
@@ -209,26 +236,12 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
                                     std::size_t cell_index, bool parallel) {
   std::vector<std::vector<double>> per_rep(
       s.reps, std::vector<double>(s.generations + 1, 0.0));
-  auto body = [&](std::size_t rep) {
-    const util::Rng base(s.seed);
-    util::Rng cluster_rng = base.split(2 * rep);
-    util::Rng task_rng = base.split(2 * rep + 1);
-    const sim::Cluster cluster =
-        sim::build_cluster(paper_cluster(20.0, s.procs), cluster_rng);
-    const sim::SystemView view = steady_state_view(cluster);
-
-    workload::NormalSizes dist(1000.0, 9e5);
-    std::vector<double> sizes(s.tasks);
-    for (auto& sz : sizes) sz = dist.sample(task_rng);
-
-    const core::ScheduleCodec codec(s.tasks, cluster.size());
-    const core::ScheduleEvaluator eval(sizes, view, /*use_comm=*/true);
-
+  run_ga_batch_study(s, parallel, [&](std::size_t rep, const GaBatch& b) {
     // All three series start from the *same* initial population so the
     // re-balance levels are compared like-for-like.
-    util::Rng init_rng = base.split(500 + rep);
-    const auto shared_init =
-        core::initial_population(codec, eval, s.population, 0.5, init_rng);
+    util::Rng init_rng = b.streams.split(500 + rep);
+    auto init =
+        core::initial_population(b.codec, b.eval, s.population, 0.5, init_rng);
 
     ga::GaConfig cfg;
     cfg.population = s.population;
@@ -239,9 +252,8 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
     const ga::CycleCrossover cx;
     const ga::SwapMutation mut;
     const ga::GaEngine engine(cfg, sel, cx, mut);
-    const core::ScheduleProblem problem(codec, eval);
-    util::Rng ga_rng = base.split(1000 + 10 * rep + cell_index);
-    auto init = shared_init;
+    const core::ScheduleProblem problem(b.codec, b.eval);
+    util::Rng ga_rng = b.streams.split(1000 + 10 * rep + cell_index);
     const auto result = engine.run(problem, std::move(init), ga_rng);
     const double initial = result.objective_history.front();
     for (std::size_t g = 0; g < per_rep[rep].size(); ++g) {
@@ -250,12 +262,7 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
                             : result.objective_history.back();
       per_rep[rep][g] = 1.0 - ms / initial;
     }
-  };
-  if (parallel && s.reps > 1) {
-    util::global_pool().parallel_for(0, s.reps, body);
-  } else {
-    for (std::size_t rep = 0; rep < s.reps; ++rep) body(rep);
-  }
+  });
 
   std::vector<double> mean(s.generations + 1, 0.0);
   for (std::size_t rep = 0; rep < s.reps; ++rep) {
@@ -281,9 +288,7 @@ FigureDef fig03_def() {
   def.full_tasks = 200;  // Fig 3 studies one batch, not the 10k-task stream
   def.grid_table = false;
   def.build = [](const FigScale& s) {
-    Sweep sweep("fig03");
-    sweep.base(fig_scenario(s, WorkloadSpec{}, 20.0, "fig03"));
-    sweep.params(fig_params(s, /*pn_dynamic_batch=*/true));
+    Sweep sweep = fig_sweep("fig03", s, WorkloadSpec{}, 20.0);
     sweep.axis("rebalances", {0.0, 1.0, 50.0}, {});
     std::vector<std::string> cols{"final_reduction"};
     const std::size_t step = fig3_step(s.generations);

@@ -23,7 +23,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/encoding.hpp"
+#include "core/fitness.hpp"
 #include "exp/sweep.hpp"
+#include "util/rng.hpp"
 
 namespace gasched::exp {
 
@@ -40,6 +43,47 @@ struct FigScale {
   std::uint64_t seed = 20050404;  ///< base seed (IPPS 2005 vintage)
   bool full = false;              ///< paper-scale switch
 };
+
+// --- the standard grid (figures and bench/ grids alike) ----------------------
+
+/// Shared [scheduler] parameters at scale `s`: batch_size,
+/// max_generations, population and pn_dynamic_batch.
+SchedulerParams fig_params(const FigScale& s, bool pn_dynamic_batch = true);
+
+/// The standard scenario: paper cluster at `mean_comm_cost` with `spec`
+/// sizes, scaled by `s`.
+Scenario fig_scenario(const FigScale& s, const WorkloadSpec& spec,
+                      double mean_comm_cost, std::string name);
+
+/// A Sweep named `id` with fig_scenario as its base cell and fig_params
+/// as its parameters. Add axes (and a runner) on top.
+Sweep fig_sweep(const std::string& id, const FigScale& s,
+                const WorkloadSpec& spec, double mean_comm_cost,
+                bool pn_dynamic_batch = true);
+
+// --- the GA-batch study (Fig 3 and the GA ablations) -------------------------
+
+/// One replication of the GA-batch study: a single batch of s.tasks sizes
+/// drawn from N(1000, 9e5) on the paper cluster at mean comm cost 20,
+/// priced in steady state (Linpack rates, no pending load, comm estimates
+/// at the true link means), as the paper studies the GA in Fig 3.
+struct GaBatch {
+  core::ScheduleCodec codec;
+  core::ScheduleEvaluator eval;
+  /// The study's base stream (seed s.seed). Callers split their GA and
+  /// init streams from it at their own offsets; the batch itself uses
+  /// substreams 2·rep (cluster) and 2·rep + 1 (sizes).
+  util::Rng streams;
+};
+
+/// Builds replication rep of the GA-batch study for each rep in
+/// [0, s.reps) and calls `body(rep, batch)` on it, across
+/// util::global_pool() when `parallel`. The batch of replication rep
+/// depends only on (s.seed, rep), so every cell of an ablation sees the
+/// same batches and the results do not depend on `parallel`.
+void run_ga_batch_study(
+    const FigScale& s, bool parallel,
+    const std::function<void(std::size_t rep, const GaBatch& batch)>& body);
 
 /// One figure of the paper, registered as data: identity and paper
 /// context, quick/full scale defaults, a builder that declares the grid

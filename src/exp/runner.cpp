@@ -8,22 +8,38 @@
 
 namespace gasched::exp {
 
+namespace {
+
+/// Replication rep's inputs: the workload and cluster every scheduler
+/// sees in that replication, and the streams its simulation draws from.
+struct Replication {
+  workload::Workload workload;
+  sim::Cluster cluster;
+  util::Rng sim_rng;
+  util::Rng failure_rng;
+};
+
+/// The one place the (seed, rep) stream layout is written down: the
+/// workload and the cluster depend only on (seed, rep), so every
+/// scheduler sees identical tasks and machines in replication rep.
+Replication realise(const Scenario& scenario, std::size_t rep) {
+  const util::Rng base(scenario.seed);
+  util::Rng workload_rng = base.split(3 * rep);
+  util::Rng cluster_rng = base.split(3 * rep + 1);
+  const auto dist = make_distribution(scenario.workload);
+  return {workload::generate(*dist, scenario.workload.count, workload_rng,
+                             make_arrival(scenario.workload)),
+          sim::build_cluster(scenario.cluster, cluster_rng),
+          base.split(3 * rep + 2), base.split(3 * rep + 1'000'000)};
+}
+
+}  // namespace
+
 sim::SimulationResult run_one(const Scenario& scenario,
                               const std::string& scheduler,
                               const SchedulerParams& params, std::size_t rep,
                               bool record_task_trace) {
-  // Stream discipline: workload and cluster depend only on (seed, rep), so
-  // every scheduler sees identical tasks and machines in replication rep.
-  const util::Rng base(scenario.seed);
-  util::Rng workload_rng = base.split(3 * rep);
-  util::Rng cluster_rng = base.split(3 * rep + 1);
-  util::Rng sim_rng = base.split(3 * rep + 2);
-
-  const auto dist = make_distribution(scenario.workload);
-  const workload::ArrivalConfig arrivals = make_arrival(scenario.workload);
-  const workload::Workload wl = workload::generate(
-      *dist, scenario.workload.count, workload_rng, arrivals);
-  const sim::Cluster cluster = sim::build_cluster(scenario.cluster, cluster_rng);
+  Replication r = realise(scenario, rep);
   const auto policy = SchedulerRegistry::instance().create(scheduler, params);
 
   sim::EngineConfig ecfg;
@@ -33,13 +49,12 @@ sim::SimulationResult run_one(const Scenario& scenario,
   ecfg.rate_nu = scenario.rate_nu;
   sim::FailureTrace trace;
   if (scenario.failures) {
-    util::Rng failure_rng = base.split(3 * rep + 1'000'000);
     trace = sim::FailureTrace(*scenario.failures,
-                              scenario.cluster.num_processors, failure_rng);
+                              scenario.cluster.num_processors, r.failure_rng);
     ecfg.failures = &trace;
   }
   sim::SimulationResult result =
-      sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
+      sim::simulate(r.cluster, r.workload, *policy, r.sim_rng, ecfg);
   check_run(result, scenario, scheduler, rep);
   return result;
 }
@@ -100,28 +115,18 @@ metrics::CellSummary run_cell(const Scenario& scenario,
 
 metrics::BoundInstance bound_instance(const Scenario& scenario,
                                       std::size_t rep) {
-  // Mirror run_one's stream discipline exactly: workload and cluster
-  // depend only on (seed, rep), so these are the tasks and machines every
-  // scheduler saw in replication rep.
-  const util::Rng base(scenario.seed);
-  util::Rng workload_rng = base.split(3 * rep);
-  util::Rng cluster_rng = base.split(3 * rep + 1);
-  const auto dist = make_distribution(scenario.workload);
-  const workload::ArrivalConfig arrivals = make_arrival(scenario.workload);
-  const workload::Workload wl = workload::generate(
-      *dist, scenario.workload.count, workload_rng, arrivals);
-  const sim::Cluster cluster =
-      sim::build_cluster(scenario.cluster, cluster_rng);
-
+  const Replication r = realise(scenario, rep);
   metrics::BoundInstance inst;
-  inst.task_sizes.reserve(wl.tasks.size());
-  for (const auto& task : wl.tasks) inst.task_sizes.push_back(task.size_mflops);
-  inst.rates.reserve(cluster.size());
-  inst.comm_costs.reserve(cluster.size());
-  for (std::size_t j = 0; j < cluster.size(); ++j) {
-    inst.rates.push_back(cluster.processors[j].base_rate);
+  inst.task_sizes.reserve(r.workload.tasks.size());
+  for (const auto& task : r.workload.tasks) {
+    inst.task_sizes.push_back(task.size_mflops);
+  }
+  inst.rates.reserve(r.cluster.size());
+  inst.comm_costs.reserve(r.cluster.size());
+  for (std::size_t j = 0; j < r.cluster.size(); ++j) {
+    inst.rates.push_back(r.cluster.processors[j].base_rate);
     inst.comm_costs.push_back(
-        cluster.comm->true_mean(static_cast<sim::ProcId>(j)));
+        r.cluster.comm->true_mean(static_cast<sim::ProcId>(j)));
   }
   return inst;
 }

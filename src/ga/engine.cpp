@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/thread_pool.hpp"
-
 namespace gasched::ga {
 
 GaEngine::GaEngine(GaConfig cfg, const SelectionOp& selection,
@@ -114,14 +112,8 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
   GaResult result;
 
-  // One workspace for all serial evaluation; extra workspaces
-  // are created lazily, one per parallel chunk, when the population is
-  // large enough for pool evaluation.
-  std::unique_ptr<GaProblem::Workspace> serial_ws = problem.make_workspace();
-  std::vector<std::unique_ptr<GaProblem::Workspace>> chunk_ws;
-
-  const bool use_pool =
-      cfg_.parallel_evaluation && P > cfg_.parallel_eval_threshold;
+  // One workspace for all evaluation sweeps.
+  std::unique_ptr<GaProblem::Workspace> eval_ws = problem.make_workspace();
   std::vector<std::size_t> dirty_idx;
   dirty_idx.reserve(P);
   std::vector<GaProblem::Evaluation> dirty_eval;
@@ -129,35 +121,18 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
   auto evaluate_all = [&] {
     // Evaluate only dirty individuals; cached entries are bit-identical
-    // to a re-evaluation because evaluate() is pure. Both sweeps route
-    // through evaluate_batch so problems with a vectorized population
-    // path price each block at once; the default evaluate_batch is a
-    // plain evaluate() loop, preserving the historical behaviour bit
-    // for bit.
+    // to a re-evaluation because evaluate() is pure. The sweep routes
+    // through evaluate_batch so a problem (or a wrapper around one) can
+    // price or observe the dirty block at once; the default
+    // evaluate_batch is a plain evaluate() loop.
     dirty_idx.clear();
     for (std::size_t i = 0; i < P; ++i) {
       if (pop.dirty[i]) dirty_idx.push_back(i);
     }
     dirty_eval.resize(dirty_idx.size());
-    const std::span<const Chromosome> all(pop.chrom);
-    const std::span<const std::size_t> dirty(dirty_idx);
-    if (use_pool && !dirty_idx.empty()) {
-      util::ThreadPool& pool = util::global_pool();
-      const std::size_t chunks = std::max<std::size_t>(
-          1, std::min(dirty_idx.size(), pool.size()));
-      while (chunk_ws.size() < chunks) {
-        chunk_ws.push_back(problem.make_workspace());
-      }
-      const std::size_t per = (dirty_idx.size() + chunks - 1) / chunks;
-      pool.parallel_for(0, chunks, [&](std::size_t c) {
-        const std::size_t lo = c * per;
-        const std::size_t hi = std::min(lo + per, dirty_idx.size());
-        if (lo >= hi) return;
-        problem.evaluate_batch(all, dirty.subspan(lo, hi - lo),
-                               chunk_ws[c].get(), dirty_eval.data() + lo);
-      });
-    } else if (!dirty_idx.empty()) {
-      problem.evaluate_batch(all, dirty, serial_ws.get(), dirty_eval.data());
+    if (!dirty_idx.empty()) {
+      problem.evaluate_batch(pop.chrom, dirty_idx, eval_ws.get(),
+                             dirty_eval.data());
     }
     for (std::size_t k = 0; k < dirty_idx.size(); ++k) {
       const std::size_t i = dirty_idx[k];
@@ -166,8 +141,8 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
       pop.dirty[i] = 0;
     }
     result.evaluations += dirty_idx.size();
-    // Best-so-far reduction stays serial and in index order so ties keep
-    // the same chromosome regardless of thread count.
+    // Best-so-far reduction in index order, so ties keep the first
+    // chromosome.
     for (std::size_t i = 0; i < P; ++i) {
       if (pop.objective[i] < result.best_objective) {
         result.best_objective = pop.objective[i];

@@ -16,9 +16,9 @@
 //    untouched by mutation/improve, are never re-evaluated;
 //  * evaluation goes through a problem-owned Workspace so hot paths can
 //    decode/evaluate without allocating;
-//  * optional population-parallel evaluation is bit-identical to serial
-//    execution for any thread count (evaluation is a pure function of the
-//    chromosome; RNG-consuming operators always run serially).
+//  * a run is serial and a pure function of its inputs and RNG stream
+//    (the island model runs whole engines in parallel, never one
+//    population's evaluations).
 
 #include <cstdint>
 #include <functional>
@@ -47,7 +47,7 @@ class GaProblem {
   };
 
   /// Reusable, problem-owned evaluation scratch (decode buffers etc.).
-  /// The engine creates one per concurrent evaluation worker (and, with
+  /// The engine creates one for its evaluation sweeps (and, with
   /// improvement passes on, one per population slot for improve()) via
   /// make_workspace() and passes it back on every evaluate()/improve()
   /// call; a workspace is never used from two threads at once.
@@ -93,9 +93,9 @@ class GaProblem {
 
   /// Evaluates fitness and objective together through `ws` (may be null
   /// when make_workspace() returned null). Must be a pure function of `c`
-  /// and safe to call concurrently with distinct workspaces — this is
-  /// what population-parallel evaluation relies on. The default adapter
-  /// suits problems without shared decode state.
+  /// and safe to call concurrently with distinct workspaces (parallel
+  /// islands share one problem). The default adapter suits problems
+  /// without shared decode state.
   virtual Evaluation evaluate(const Chromosome& c, Workspace* ws) const {
     (void)ws;
     return {fitness(c), objective(c)};
@@ -103,9 +103,8 @@ class GaProblem {
 
   /// Evaluates a block of individuals: for each k, out[k] receives the
   /// evaluation of pop[indices[k]]. The engine routes every evaluation
-  /// sweep (serial and per-chunk parallel) through this hook so a problem
-  /// (or a wrapper around one) can observe or price a whole dirty block
-  /// at once. The default loops evaluate() in index order — bit-identical
+  /// sweep through this hook so a problem (or a wrapper around one) can
+  /// observe or price a whole dirty block at once. The default loops evaluate() in index order — bit-identical
   /// to the engine calling evaluate() itself. Same purity/concurrency
   /// contract as evaluate(); `out` has indices.size() slots.
   virtual void evaluate_batch(std::span<const Chromosome> pop,
@@ -166,14 +165,6 @@ struct GaConfig {
   bool record_stats = false;
   /// Pair-sample budget per generation for the diversity estimate.
   std::size_t diversity_pairs = 64;
-  /// Evaluate dirty individuals on util::global_pool() when the
-  /// population exceeds parallel_eval_threshold. Evaluation is a pure
-  /// function of the chromosome, so results are bit-identical to serial
-  /// execution for any thread count.
-  bool parallel_evaluation = true;
-  /// Populations at or below this size always evaluate serially (the
-  /// paper's 20-individual micro GA does not amortise a fork/join).
-  std::size_t parallel_eval_threshold = 64;
   /// Numeric mode handed to the evaluators core::GeneticBatchScheduler
   /// builds. Pricing is exact-only, so kExact is the only value
   /// (core/numeric.hpp).

@@ -63,13 +63,6 @@ std::size_t roulette_locate(std::span<const double> prefix, double target) {
   return std::min(k, prefix.size() - 1);
 }
 
-std::vector<std::size_t> RouletteSelection::select(
-    std::span<const double> fitness, std::size_t count, util::Rng& rng) const {
-  std::vector<std::size_t> out;
-  select_into(fitness, count, rng, out);
-  return out;
-}
-
 void RouletteSelection::select_into(std::span<const double> fitness,
                                     std::size_t count, util::Rng& rng,
                                     std::vector<std::size_t>& out) const {
@@ -82,13 +75,6 @@ TournamentSelection::TournamentSelection(std::size_t k) : k_(k) {
 
 std::string TournamentSelection::name() const {
   return "tournament" + std::to_string(k_);
-}
-
-std::vector<std::size_t> TournamentSelection::select(
-    std::span<const double> fitness, std::size_t count, util::Rng& rng) const {
-  std::vector<std::size_t> out;
-  select_into(fitness, count, rng, out);
-  return out;
 }
 
 void TournamentSelection::select_into(std::span<const double> fitness,
@@ -105,14 +91,6 @@ void TournamentSelection::select_into(std::span<const double> fitness,
     }
     out.push_back(best);
   }
-}
-
-std::vector<std::size_t> RankSelection::select(std::span<const double> fitness,
-                                               std::size_t count,
-                                               util::Rng& rng) const {
-  std::vector<std::size_t> out;
-  select_into(fitness, count, rng, out);
-  return out;
 }
 
 void RankSelection::select_into(std::span<const double> fitness,
@@ -133,14 +111,6 @@ void RankSelection::select_into(std::span<const double> fitness,
     sc.weight[sc.order[r]] = static_cast<double>(r + 1);
   }
   roulette_into(sc.weight, count, rng, out);
-}
-
-std::vector<std::size_t> SusSelection::select(std::span<const double> fitness,
-                                              std::size_t count,
-                                              util::Rng& rng) const {
-  std::vector<std::size_t> out;
-  select_into(fitness, count, rng, out);
-  return out;
 }
 
 void SusSelection::select_into(std::span<const double> fitness,

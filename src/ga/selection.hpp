@@ -17,17 +17,20 @@ namespace gasched::ga {
 class SelectionOp {
  public:
   virtual ~SelectionOp() = default;
-  /// Selects `count` indices into the population described by `fitness`.
-  virtual std::vector<std::size_t> select(std::span<const double> fitness,
-                                          std::size_t count,
-                                          util::Rng& rng) const = 0;
-  /// Same draw, written into a caller-reused buffer (cleared first) so
-  /// the per-generation selection is allocation-free. Consumes the same
-  /// RNG stream as select(). Default adapter delegates to select().
+  /// Selects `count` indices into the population described by `fitness`,
+  /// written into a caller-reused buffer (cleared first) so the
+  /// per-generation selection is allocation-free.
   virtual void select_into(std::span<const double> fitness, std::size_t count,
                            util::Rng& rng,
-                           std::vector<std::size_t>& out) const {
-    out = select(fitness, count, rng);
+                           std::vector<std::size_t>& out) const = 0;
+  /// Same draw into a fresh vector: a select_into() call. Consumes the
+  /// same RNG stream as select_into().
+  virtual std::vector<std::size_t> select(std::span<const double> fitness,
+                                          std::size_t count,
+                                          util::Rng& rng) const {
+    std::vector<std::size_t> out;
+    select_into(fitness, count, rng, out);
+    return out;
   }
   /// Operator name for reports.
   virtual std::string name() const = 0;
@@ -43,9 +46,6 @@ std::size_t roulette_locate(std::span<const double> prefix, double target);
 /// occupies a slot of size ς_i = F_i / Σ_j F_j (paper §3.3).
 class RouletteSelection final : public SelectionOp {
  public:
-  std::vector<std::size_t> select(std::span<const double> fitness,
-                                  std::size_t count,
-                                  util::Rng& rng) const override;
   void select_into(std::span<const double> fitness, std::size_t count,
                    util::Rng& rng,
                    std::vector<std::size_t>& out) const override;
@@ -57,9 +57,6 @@ class TournamentSelection final : public SelectionOp {
  public:
   /// Requires k >= 1.
   explicit TournamentSelection(std::size_t k = 2);
-  std::vector<std::size_t> select(std::span<const double> fitness,
-                                  std::size_t count,
-                                  util::Rng& rng) const override;
   void select_into(std::span<const double> fitness, std::size_t count,
                    util::Rng& rng,
                    std::vector<std::size_t>& out) const override;
@@ -72,9 +69,6 @@ class TournamentSelection final : public SelectionOp {
 /// Linear rank selection: probability proportional to rank (worst = 1).
 class RankSelection final : public SelectionOp {
  public:
-  std::vector<std::size_t> select(std::span<const double> fitness,
-                                  std::size_t count,
-                                  util::Rng& rng) const override;
   void select_into(std::span<const double> fitness, std::size_t count,
                    util::Rng& rng,
                    std::vector<std::size_t>& out) const override;
@@ -85,9 +79,6 @@ class RankSelection final : public SelectionOp {
 /// roulette wheel — lower selection variance than repeated roulette spins.
 class SusSelection final : public SelectionOp {
  public:
-  std::vector<std::size_t> select(std::span<const double> fitness,
-                                  std::size_t count,
-                                  util::Rng& rng) const override;
   void select_into(std::span<const double> fitness, std::size_t count,
                    util::Rng& rng,
                    std::vector<std::size_t>& out) const override;

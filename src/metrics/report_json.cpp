@@ -1,8 +1,5 @@
 #include "metrics/report_json.hpp"
 
-#include <fstream>
-#include <stdexcept>
-
 #include "util/json.hpp"
 
 namespace gasched::metrics {
@@ -58,21 +55,6 @@ std::string experiment_to_json(const std::string& experiment,
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-void write_experiment_json(const std::string& experiment,
-                           const std::vector<CellSummary>& cells,
-                           const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("write_experiment_json: cannot open " +
-                             path.string());
-  }
-  out << experiment_to_json(experiment, cells) << "\n";
-  if (!out) {
-    throw std::runtime_error("write_experiment_json: write failed for " +
-                             path.string());
-  }
 }
 
 }  // namespace gasched::metrics

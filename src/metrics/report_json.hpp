@@ -3,7 +3,6 @@
 // ASCII tables and CSV files the bench binaries emit, for plotting
 // pipelines and regression tracking.
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -23,11 +22,5 @@ std::string cell_to_json(const CellSummary& cell);
 /// Serialises an experiment (name + cells) as a JSON document string.
 std::string experiment_to_json(const std::string& experiment,
                                const std::vector<CellSummary>& cells);
-
-/// Writes experiment_to_json to `path` (throws std::runtime_error on I/O
-/// failure).
-void write_experiment_json(const std::string& experiment,
-                           const std::vector<CellSummary>& cells,
-                           const std::filesystem::path& path);
 
 }  // namespace gasched::metrics

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -129,6 +130,31 @@ TEST(FigSetRegistry, AddRejectsDuplicatesAndEmpty) {
   EXPECT_THROW(FigSet::instance().add(dup), std::invalid_argument);
   FigureDef empty;
   EXPECT_THROW(FigSet::instance().add(empty), std::invalid_argument);
+}
+
+TEST(GaBatchStudy, ReplicationDependsOnlyOnSeedAndRep) {
+  FigScale s;
+  s.tasks = 30;
+  s.procs = 6;
+  s.reps = 4;
+  s.seed = 7;
+  // ψ = total work / total rate fingerprints a replication's sizes and
+  // cluster together.
+  auto fingerprints = [&s](bool parallel) {
+    std::vector<double> psi(s.reps, 0.0);
+    run_ga_batch_study(s, parallel, [&](std::size_t rep, const GaBatch& b) {
+      EXPECT_EQ(b.eval.num_tasks(), s.tasks);
+      EXPECT_EQ(b.eval.num_procs(), s.procs);
+      psi[rep] = b.eval.psi();
+    });
+    return psi;
+  };
+  const std::vector<double> serial = fingerprints(false);
+  EXPECT_EQ(fingerprints(true), serial);
+  EXPECT_NE(serial[0], serial[1]);
+  s.reps = 6;  // more replications leave the first ones as they were
+  const std::vector<double> more = fingerprints(true);
+  EXPECT_TRUE(std::equal(serial.begin(), serial.end(), more.begin()));
 }
 
 TEST(GlobMatch, StarsQuestionsAndClasses) {

@@ -1,7 +1,5 @@
-// Cached-fitness and population-parallel evaluation tests: dirty tracking
-// must skip untouched survivors without changing any result, and pool
-// evaluation must be bit-identical to serial evaluation (the engine's
-// determinism contract for any thread count).
+// Cached-fitness evaluation tests: dirty tracking must skip untouched
+// survivors without changing any result.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +15,6 @@
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gasched::ga {
 namespace {
@@ -124,72 +121,6 @@ TEST(CachedEval, ResultsIdenticalWithCachingDisabledByForce) {
   EXPECT_EQ(x.best, y.best);
   EXPECT_EQ(x.best_objective, y.best_objective);
   EXPECT_EQ(x.evaluations, y.evaluations);
-}
-
-TEST(ParallelEval, PoolAndSerialEvaluationAreBitIdentical) {
-  // Population above the threshold: one run on the pool, one serial.
-  // Same seeds -> byte-identical results (evaluation is pure; the RNG
-  // stream never touches the pool).
-  GaConfig serial_cfg;
-  serial_cfg.population = 96;
-  serial_cfg.max_generations = 30;
-  serial_cfg.record_history = true;
-  serial_cfg.parallel_evaluation = false;
-  GaConfig pool_cfg = serial_cfg;
-  pool_cfg.parallel_evaluation = true;
-  pool_cfg.parallel_eval_threshold = 8;  // force the pool path
-
-  CountingSortProblem p1, p2;
-  util::Rng pop_rng(4);
-  auto popa = random_population(96, 14, pop_rng);
-  auto popb = popa;
-  util::Rng ra(44), rb(44);
-  const GaResult s = make_engine(serial_cfg).run(p1, popa, ra);
-  const GaResult q = make_engine(pool_cfg).run(p2, popb, rb);
-  EXPECT_EQ(s.best, q.best);
-  EXPECT_EQ(s.best_objective, q.best_objective);
-  EXPECT_EQ(s.best_fitness, q.best_fitness);
-  EXPECT_EQ(s.objective_history, q.objective_history);
-  EXPECT_EQ(s.evaluations, q.evaluations);
-}
-
-TEST(ParallelEval, ScheduleProblemParallelMatchesSerial) {
-  // The real problem type: workspace-based flat evaluation on the pool
-  // must reproduce the serial run exactly, including the improvement
-  // heuristic's RNG consumption.
-  util::Rng fixture(5);
-  const std::size_t tasks = 40, procs = 8, pop = 80;
-  std::vector<double> sizes(tasks);
-  for (auto& v : sizes) v = fixture.uniform(10.0, 1000.0);
-  sim::SystemView view;
-  view.procs.resize(procs);
-  for (std::size_t j = 0; j < procs; ++j) {
-    view.procs[j].id = static_cast<sim::ProcId>(j);
-    view.procs[j].rate = fixture.uniform(10.0, 100.0);
-    view.procs[j].comm_estimate = fixture.uniform(1.0, 20.0);
-  }
-  const core::ScheduleCodec codec(tasks, procs);
-  const core::ScheduleEvaluator eval(std::move(sizes), view, true);
-  const core::ScheduleProblem problem(codec, eval);
-
-  auto run = [&](bool parallel) {
-    GaConfig cfg;
-    cfg.population = pop;
-    cfg.max_generations = 25;
-    cfg.parallel_evaluation = parallel;
-    cfg.parallel_eval_threshold = 16;
-    cfg.record_history = true;
-    util::Rng init_rng(6);
-    auto init = core::initial_population(codec, eval, pop, 0.5, init_rng);
-    util::Rng ga_rng(7);
-    return make_engine(cfg).run(problem, std::move(init), ga_rng);
-  };
-  const GaResult serial = run(false);
-  const GaResult pool = run(true);
-  EXPECT_EQ(serial.best, pool.best);
-  EXPECT_EQ(serial.best_objective, pool.best_objective);
-  EXPECT_EQ(serial.objective_history, pool.objective_history);
-  EXPECT_EQ(serial.evaluations, pool.evaluations);
 }
 
 /// Forwarding problem whose make_workspace() returns null (the GaProblem
@@ -431,16 +362,6 @@ TEST(CarriedState, ReportedOriginsMatchTheComparingPath) {
     expect_same_run(reporting, comparing);
     EXPECT_EQ(reporting.result.evaluations, comparing.result.evaluations);
   }
-}
-
-TEST(ParallelEval, ThresholdKeepsMicroGaSerial) {
-  // Default config: population 20 <= threshold 64 — the pool must not be
-  // touched. We can't observe pool usage directly, but the config
-  // contract is part of the documented behaviour; assert the defaults.
-  const GaConfig cfg;
-  EXPECT_TRUE(cfg.parallel_evaluation);
-  EXPECT_EQ(cfg.parallel_eval_threshold, 64u);
-  EXPECT_GT(cfg.parallel_eval_threshold, cfg.population);
 }
 
 }  // namespace

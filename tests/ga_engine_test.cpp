@@ -202,20 +202,18 @@ TEST(GaEngine, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(x.best_objective, y.best_objective);
 }
 
-/// Runs the same seeded GA on SortProblem and on its batch-counting twin
-/// and checks that every evaluation went through evaluate_batch without
-/// changing the run.
-void expect_evaluations_route_through_batch(std::size_t population) {
+// The same seeded GA on SortProblem and on its batch-counting twin: every
+// evaluation goes through evaluate_batch without changing the run.
+TEST(GaEngine, SerialEvaluationsRouteThroughEvaluateBatch) {
   GaConfig cfg;
-  cfg.population = population;
+  cfg.population = 10;
   cfg.max_generations = 15;
-  cfg.parallel_eval_threshold = 64;
   const GaEngine engine = make_engine(cfg);
   const SortProblem plain;
   const BatchCountingSortProblem counting;
   util::Rng ra(21), rb(21);
-  auto pa = random_population(population, 14, ra);
-  auto pb = random_population(population, 14, rb);
+  auto pa = random_population(10, 14, ra);
+  auto pb = random_population(10, 14, rb);
   const GaResult x = engine.run(plain, pa, ra);
   const GaResult y = engine.run(counting, pb, rb);
   EXPECT_FALSE(counting.bad_index.load());
@@ -225,14 +223,6 @@ void expect_evaluations_route_through_batch(std::size_t population) {
   EXPECT_EQ(x.best, y.best);
   EXPECT_EQ(x.best_objective, y.best_objective);
   EXPECT_EQ(x.generations, y.generations);
-}
-
-TEST(GaEngine, SerialEvaluationsRouteThroughEvaluateBatch) {
-  expect_evaluations_route_through_batch(10);  // below the threshold
-}
-
-TEST(GaEngine, ParallelEvaluationsRouteThroughEvaluateBatch) {
-  expect_evaluations_route_through_batch(80);  // pool-chunked blocks
 }
 
 /// SortProblem whose per-individual evaluate() is deliberately wrong and

@@ -5,9 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <cmath>
-#include <fstream>
 
 #include "metrics/report_json.hpp"
 
@@ -104,19 +102,6 @@ TEST(ReportJson, CellAndExperimentSerialise) {
     ++n;
   }
   EXPECT_EQ(n, 2u);
-}
-
-TEST(ReportJson, WritesFile) {
-  metrics::CellSummary cell;
-  cell.scheduler = "EF";
-  const auto path =
-      std::filesystem::temp_directory_path() / "gasched_json_test.json";
-  metrics::write_experiment_json("t", {cell}, path);
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("\"scheduler\":\"EF\""), std::string::npos);
-  std::filesystem::remove(path);
 }
 
 }  // namespace
