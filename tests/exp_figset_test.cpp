@@ -157,6 +157,38 @@ TEST(GaBatchStudy, ReplicationDependsOnlyOnSeedAndRep) {
   EXPECT_TRUE(std::equal(serial.begin(), serial.end(), more.begin()));
 }
 
+TEST(FigGrid, SweepStartsFromFigScenarioAndFigParams) {
+  FigScale s = tiny_scale();
+  s.seed = 9;
+  s.reps = 2;
+  WorkloadSpec spec;
+  spec.dist = "uniform";
+  spec.param_a = 10.0;
+  spec.param_b = 100.0;
+  spec.count = 999;  // replaced by the scale's task count
+  const std::vector<SweepCell> cells =
+      fig_sweep("grid", s, spec, 20.0, /*pn_dynamic_batch=*/false).flatten();
+  ASSERT_EQ(cells.size(), 1u);
+  const Scenario& sc = cells[0].scenario;
+  EXPECT_EQ(sc.name, "grid");
+  EXPECT_EQ(sc.workload.dist, "uniform");
+  EXPECT_EQ(sc.workload.count, s.tasks);
+  EXPECT_EQ(sc.seed, s.seed);
+  EXPECT_EQ(sc.replications, s.reps);
+  EXPECT_EQ(sc.cluster.num_processors, s.procs);
+  const Scenario direct = fig_scenario(s, spec, 20.0, "grid");
+  EXPECT_EQ(sc.cluster.comm.mean_cost, direct.cluster.comm.mean_cost);
+  EXPECT_EQ(sc.cluster.rate_lo, direct.cluster.rate_lo);
+  EXPECT_EQ(sc.cluster.rate_hi, direct.cluster.rate_hi);
+
+  const SchedulerParams& p = cells[0].params;
+  EXPECT_EQ(p.get_size("batch_size", 0), s.batch);
+  EXPECT_EQ(p.get_size("max_generations", 0), s.generations);
+  EXPECT_EQ(p.get_size("population", 0), s.population);
+  EXPECT_FALSE(p.get_bool("pn_dynamic_batch", true));
+  EXPECT_TRUE(fig_params(s).get_bool("pn_dynamic_batch", false));
+}
+
 TEST(GlobMatch, StarsQuestionsAndClasses) {
   EXPECT_TRUE(glob_match("fig06", "fig06"));
   EXPECT_FALSE(glob_match("fig06", "fig07"));

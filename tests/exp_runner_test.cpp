@@ -9,6 +9,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace gasched::exp {
 namespace {
@@ -169,6 +170,41 @@ TEST(Runner, UnknownSchedulerThrowsBeforeRunning) {
   const Scenario s = small_scenario();
   EXPECT_THROW(run_replications(s, "NOPE", quick_opts()),
                std::runtime_error);
+}
+
+// --- bound_instance: replication rep's tasks and machines --------------------
+
+TEST(BoundInstance, IsTheInstanceRunOneSimulates) {
+  const Scenario s = small_scenario();
+  const metrics::BoundInstance inst = bound_instance(s, 1);
+  ASSERT_EQ(inst.task_sizes.size(), s.workload.count);
+  ASSERT_EQ(inst.rates.size(), s.cluster.num_processors);
+  ASSERT_EQ(inst.comm_costs.size(), s.cluster.num_processors);
+  // Every task of replication 1 ran for exactly its size over the rate of
+  // the processor that took it (fixed availability), so the bound
+  // instance holds that replication's sizes and rates, task by task.
+  const sim::SimulationResult run =
+      run_one(s, "EF", quick_opts(), 1, /*record_task_trace=*/true);
+  ASSERT_EQ(run.task_trace.size(), s.workload.count);
+  for (const sim::TaskRecord& t : run.task_trace) {
+    const double expected = inst.task_sizes[t.id] / inst.rates[t.proc];
+    EXPECT_NEAR(t.completion - t.start, expected, 1e-9 * expected)
+        << "task " << t.id;
+  }
+}
+
+TEST(BoundInstance, DependsOnlyOnSeedAndRep) {
+  Scenario s = small_scenario();
+  const metrics::BoundInstance a = bound_instance(s, 0);
+  EXPECT_EQ(bound_instance(s, 0).task_sizes, a.task_sizes);
+  EXPECT_EQ(bound_instance(s, 0).rates, a.rates);
+  EXPECT_NE(bound_instance(s, 1).task_sizes, a.task_sizes);
+  EXPECT_NE(bound_instance(s, 1).rates, a.rates);
+  s.replications = 10;  // the replication count does not move the streams
+  EXPECT_EQ(bound_instance(s, 0).task_sizes, a.task_sizes);
+  EXPECT_EQ(bound_instance(s, 0).comm_costs, a.comm_costs);
+  s.seed = 8;
+  EXPECT_NE(bound_instance(s, 0).task_sizes, a.task_sizes);
 }
 
 // --- run_one's always-on result checks --------------------------------------

@@ -148,6 +148,21 @@ TEST_P(SelectionContract, NeverSelectsStrictlyWorstAlwaysOverBest) {
   EXPECT_GE(best, worst);
 }
 
+TEST_P(SelectionContract, SelectDrawsWhatSelectIntoDraws) {
+  // select() is select_into() into a fresh vector: same picks, same
+  // stream consumed. select_into() clears a reused buffer first.
+  auto sel = GetParam();
+  util::Rng ra(13), rb(13);
+  const std::vector<double> fitness{0.3, 0.1, 0.7, 0.0, 0.4, 0.9};
+  std::vector<std::size_t> reused(50, 99);
+  for (int round = 0; round < 3; ++round) {
+    const auto picks = sel->select(fitness, 17, ra);
+    sel->select_into(fitness, 17, rb, reused);
+    EXPECT_EQ(picks, reused) << "round " << round;
+  }
+  EXPECT_EQ(ra.next_u64(), rb.next_u64());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllOperators, SelectionContract,
     ::testing::Values(std::make_shared<RouletteSelection>(),
